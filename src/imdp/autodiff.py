@@ -10,16 +10,30 @@ and scalar arithmetic.
 
 Every value is a 64-bit row-major numpy array.  Any non-finite entry
 produced by a public operation raises ``NonFiniteError`` instead of
-propagating silently.
+propagating silently.  ``forward`` checks the leaves (inputs, params,
+consts) and every op that can overflow: affine, the losses, the
+reductions, add, sub, scale and add_scalar.  It skips tanh, relu,
+leaky_relu and neg: from finite operands they can only give finite
+values, and their operands are leaves or outputs of checked or
+finite-preserving ops, so the first non-finite value in a graph always
+lands on a checked node.  The error names the same node either way.
+
+``backward`` sends cotangents only along nodes that lie on a path from
+a wanted parameter to the loss, so no gradient is formed that no slot
+reads (e.g. ``g @ W.T`` into an input leaf).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 LEAKY_SLOPE = 0.01
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# Ops whose output is finite whenever their operand is; forward skips
+# the finiteness check on them (see the module docstring).
+_FINITE_PRESERVING = frozenset({"tanh", "relu", "leaky_relu", "neg"})
 
 
 class ShapeError(ValueError):
@@ -100,6 +114,8 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self._input_names: set[str] = set()
+        # (loss, wanted parameter names or None) -> per-node flags, see _needed
+        self._needed_cache: dict[tuple, list[bool]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -109,7 +125,34 @@ class Graph:
 
     def _append(self, node: Node) -> int:
         self.nodes.append(node)
+        self._needed_cache.clear()
         return len(self.nodes) - 1
+
+    def _needed(self, loss: int, wrt: frozenset[str] | None) -> list[bool]:
+        """Flags the nodes on a path from a wanted param to ``loss``.
+
+        ``wrt=None`` wants every param node.  Only flagged nodes can
+        carry a cotangent that reaches a wanted gradient slot.
+        """
+        key = (loss, wrt)
+        needed = self._needed_cache.get(key)
+        if needed is None:
+            from_param = [False] * (loss + 1)
+            for i in range(loss + 1):
+                nd = self.nodes[i]
+                if nd.op == "param":
+                    from_param[i] = wrt is None or nd.ref in wrt
+                else:
+                    from_param[i] = any(from_param[j] for j in nd.args)
+            to_loss = [False] * (loss + 1)
+            to_loss[loss] = True
+            for i in range(loss, -1, -1):
+                if to_loss[i]:
+                    for j in self.nodes[i].args:
+                        to_loss[j] = True
+            needed = [f and t for f, t in zip(from_param, to_loss)]
+            self._needed_cache[key] = needed
+        return needed
 
     def _check(self, node: int) -> Node:
         if not 0 <= node < len(self.nodes):
@@ -274,35 +317,59 @@ def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> l
             v = acts[a[0]] + nd.k
         else:  # pragma: no cover
             raise GraphError(f"unknown op {nd.op!r}")
-        if not np.all(np.isfinite(v)):
+        if nd.op not in _FINITE_PRESERVING and not np.isfinite(v).all():
             raise NonFiniteError(f"node {i} ({nd.op}): non-finite value")
         acts[i] = v
     return acts
 
 
-def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int) -> dict[str, np.ndarray]:
+def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
+             wrt: Iterable[str] | None = None) -> dict[str, np.ndarray]:
     """Fill the store's gradient slots with d(loss)/d(param).
 
     The loss node must be scalar-shaped and ``acts`` must come from a
-    matching ``forward`` run.  Slots are zeroed first; gradients from
-    multiple uses of a parameter accumulate.
+    matching ``forward`` run.  With ``wrt=None`` every slot is zeroed
+    and then filled.  With ``wrt`` an iterable of parameter names, only
+    those slots are zeroed and filled and every other slot is left
+    untouched; the names must be in the store.  Gradients from multiple
+    uses of a parameter accumulate.  Cotangents flow only into nodes on a
+    path from a wanted parameter to the loss; every other gradient is
+    skipped, and the wanted ones come out bit-identical to an unpruned
+    pass because each needed node receives the same terms in the same
+    order.
     """
     nd = graph._check(loss)
     if nd.shape != ():
         raise ShapeError(f"loss node must be scalar, got shape {nd.shape}")
     if acts is None or len(acts) != len(graph.nodes):
         raise GraphError("backward requires activations from a prior forward")
-    store.zero_grads()
-    node_grads: list[np.ndarray | None] = [None] * len(graph.nodes)
+    if wrt is None:
+        store.zero_grads()
+    else:
+        wrt = frozenset(wrt)
+        unknown = wrt.difference(store.grads)
+        if unknown:
+            raise GraphError(f"unknown parameters in wrt: {sorted(unknown)}")
+        for name in wrt:
+            store.grads[name][...] = 0.0
+    needed = graph._needed(loss, wrt)
+    if not needed[loss]:
+        return store.grads
+    node_grads: list[np.ndarray | None] = [None] * (loss + 1)
     node_grads[loss] = np.ones(())
 
+    # No node gradient is ever written in place, so a first term is kept
+    # without a copy even when it is shared (add passes g to both operands).
     def acc(j: int, val: np.ndarray) -> None:
         if node_grads[j] is None:
-            node_grads[j] = np.array(val, dtype=np.float64)
+            node_grads[j] = val
         else:
             node_grads[j] = node_grads[j] + val
 
-    for i in range(len(graph.nodes) - 1, -1, -1):
+    # Unary ops and the losses pass g on untested: the first operand of a
+    # needed one is needed too (loss targets are leaves).  Multi-operand
+    # ops test each operand.
+    for i in range(loss, -1, -1):
         g = node_grads[i]
         if g is None:
             continue
@@ -310,13 +377,13 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int)
         a = nd.args
         if nd.op == "param":
             store.grads[nd.ref] += g
-        elif nd.op in ("input", "const"):
-            pass
         elif nd.op == "affine":
-            x, w = acts[a[0]], acts[a[1]]
-            acc(a[0], g @ w.T)
-            acc(a[1], x.T @ g)
-            acc(a[2], g.sum(axis=0))
+            if needed[a[0]]:
+                acc(a[0], g @ acts[a[1]].T)
+            if needed[a[1]]:
+                acc(a[1], acts[a[0]].T @ g)
+            if needed[a[2]]:
+                acc(a[2], g.sum(axis=0))
         elif nd.op == "tanh":
             y = acts[i]
             acc(a[0], g * (1.0 - y * y))
@@ -337,11 +404,15 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int)
         elif nd.op == "sum":
             acc(a[0], np.full(graph.shape(a[0]), float(g)))
         elif nd.op == "add":
-            acc(a[0], g)
-            acc(a[1], g)
+            if needed[a[0]]:
+                acc(a[0], g)
+            if needed[a[1]]:
+                acc(a[1], g)
         elif nd.op == "sub":
-            acc(a[0], g)
-            acc(a[1], -g)
+            if needed[a[0]]:
+                acc(a[0], g)
+            if needed[a[1]]:
+                acc(a[1], -g)
         elif nd.op == "neg":
             acc(a[0], -g)
         elif nd.op == "scale":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, privacy
-from .data import Dataset, load_idx_images, load_idx_labels, subset_by_label, synth_mixture
+from .data import Dataset, load_idx_images, load_idx_labels, synth_mixture
 from .evaluation import code_sweep, dataset_sha256, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
@@ -271,7 +271,6 @@ def cmd_train(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
     every = resolved.checkpoint_every()
-    result_holder = {}
 
     def hook(i, trainer):
         if every and i % every == 0:
@@ -279,7 +278,6 @@ def cmd_train(args) -> int:
                             trainer.gen, trainer.critic, trainer.spec)
 
     result = train(cfg, data, on_iteration=hook)
-    result_holder["result"] = result
     _write(os.path.join(run_dir, "metrics.log"), result.log.to_text())
     save_checkpoint(os.path.join(run_dir, "checkpoint.ckpt"),
                     result.gen, result.critic, result.privacy)

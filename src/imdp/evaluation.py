@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 from .autodiff import Graph, ParamStore, backward, forward
 from .data import Dataset, bytes_from_features
-from .latent import Codes, LatentSpec, softmax
+from .latent import Codes, LatentSpec
 from .nets import CriticQNet, GeneratorNet, generate, q_posterior
 from .train import MetricsLog, TrainConfig, train
 
@@ -221,9 +221,16 @@ class UtilityReport:
         return {r.epsilon: r.accuracy for r in self.rows}
 
     def spearman(self) -> float:
-        """Rank correlation between privacy level and accuracy."""
+        """Rank correlation between privacy level and accuracy.
+
+        nan when either column is constant (e.g. every accuracy ties): the
+        correlation is undefined there, and scipy is not called, so no
+        ``ConstantInputWarning`` is printed.
+        """
         eps = [r.epsilon for r in self.rows]
         acc = [r.accuracy for r in self.rows]
+        if len(set(eps)) < 2 or len(set(acc)) < 2:
+            return float("nan")
         return float(spearmanr(eps, acc).statistic)
 
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .autodiff import Graph, as_tensor
 
-UNIT_ENTROPY = math.log(2.0)  # differential entropy of Unif(-1, 1)
-
 
 @dataclass(frozen=True)
 class LatentSpec:
@@ -100,6 +98,18 @@ class Codes:
                     if col.min() < lo or col.max() > hi:
                         raise ValueError(f"continuous code {j} outside [{lo}, {hi}]")
 
+    @classmethod
+    def _trusted(cls, z, cat_onehot, cont, spec) -> "Codes":
+        """Wrap arrays that are valid by construction, skipping the checks.
+
+        Only for float64 C-contiguous arrays already shaped, one-hot and
+        in range as ``__post_init__`` requires; ``sample_codes`` builds
+        exactly those.
+        """
+        codes = object.__new__(cls)
+        codes.z, codes.cat_onehot, codes.cont, codes.spec = z, cat_onehot, cont, spec
+        return codes
+
     @property
     def batch(self) -> int:
         return self.z.shape[0]
@@ -130,7 +140,7 @@ def sample_codes(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Code
     if spec.n_cont:
         cols = [rng.uniform(lo, hi, size=batch) for lo, hi in spec.continuous]
         cont = np.stack(cols, axis=1)
-    return Codes(z=z, cat_onehot=onehots, cont=cont, spec=spec)
+    return Codes._trusted(z, onehots, cont, spec)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ affine stacks sized to train in minutes on a desk machine.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

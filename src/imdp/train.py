@@ -11,14 +11,14 @@ objective only, so no real-data gradient bypasses the noised path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import privacy
 from .autodiff import Graph, ParamStore, backward, forward
 from .data import Dataset, batch_iter
-from .latent import Codes, LatentSpec, MiBound, mi_lower_bound, sample_codes
+from .latent import LatentSpec, MiBound, mi_lower_bound, sample_codes
 from .nets import CriticQNet, GeneratorNet, NetConfig, build_critic, build_generator
 from .privacy import AccountantState, PrivacySpec, accumulate, spent_epsilon
 
@@ -254,13 +254,13 @@ class Trainer:
         loss_value = float(acts[sg.loss])
         l_i = float(acts[sg.mi.total])
         gen_names = self.gen.param_names()
-        backward(sg.graph, self.store, acts, sg.loss)
-        gen_grads = {n: self.store.grads[n].copy() for n in gen_names}
         mi_names = [*self.critic.trunk_names(), *self.critic.q_head_names()]
-        backward(sg.graph, self.store, acts, sg.mi_loss)
-        mi_grads = {n: self.store.grads[n].copy() for n in mi_names}
-        self.opt_gen.update(self.store, gen_grads, gen_names)
-        self.opt_gen.update(self.store, mi_grads, mi_names)
+        # Both passes run before either update: param activations alias
+        # the stored arrays.  The second pass leaves the gen.* slots alone.
+        backward(sg.graph, self.store, acts, sg.loss, wrt=gen_names)
+        backward(sg.graph, self.store, acts, sg.mi_loss, wrt=mi_names)
+        self.opt_gen.update(self.store, self.store.grads, gen_names)
+        self.opt_gen.update(self.store, self.store.grads, mi_names)
         privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
         return loss_value, l_i
 

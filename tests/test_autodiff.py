@@ -68,6 +68,18 @@ class TestForward:
         with pytest.raises(NonFiniteError):
             forward(g, ParamStore(), {"x": np.array([[np.nan, 0.0]])})
 
+    def test_affine_overflow_into_tanh_names_the_affine_node(self):
+        g = Graph()
+        store = ParamStore()
+        store.add("w", np.full((2, 2), 1e300))
+        store.add("b", np.zeros(2))
+        x = g.input("x", (1, 2))
+        pre = g.affine(x, g.param("w", (2, 2)), g.param("b", (2,)))
+        g.tanh(pre)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match=f"node {pre} \\(affine\\)"):
+            forward(g, store, {"x": np.full((1, 2), 1e10)})
+
     def test_unbound_input_rejected(self):
         g = Graph()
         g.input("x", (1, 2))
@@ -146,6 +158,63 @@ class TestBackward:
         gt = backward(g, store, acts, total)
         for name in store.params:
             np.testing.assert_allclose(gt[name], g1[name] + g2[name], atol=1e-15)
+
+
+def branched_net(seed=0, batch=5):
+    """Two branches over one input, a param used twice, a const, add and sub."""
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    store = ParamStore()
+    for name, shape in [("a.W", (3, 4)), ("a.b", (4,)), ("b.W", (3, 4)),
+                        ("b.b", (4,)), ("h.W", (4, 2)), ("h.b", (2,))]:
+        store.add(name, rng.normal(0.0, 0.5, size=shape))
+    p = {name: g.param(name, store.params[name].shape) for name in store.params}
+    x = g.input("x", (batch, 3))
+    ha = g.tanh(g.affine(x, p["a.W"], p["a.b"]))
+    hb = g.leaky_relu(g.affine(x, p["b.W"], p["b.b"]))
+    h = g.sub(g.add(ha, hb), g.const(rng.normal(size=(batch, 4))))
+    out = g.affine(g.relu(h), p["h.W"], p["h.b"])
+    again = g.affine(ha, g.param("h.W", (4, 2)), p["h.b"])
+    loss = g.add(g.mean(out), g.scale(g.sum(g.neg(again)), 0.5))
+    return g, store, {"x": rng.normal(size=(batch, 3))}, loss
+
+
+class TestPrunedBackward:
+    @pytest.mark.parametrize("wrt", [["a.W"], ["b.W", "b.b"], ["h.W"],
+                                     ["a.b", "h.b"], []])
+    def test_wrt_slots_match_full_pass_and_others_untouched(self, wrt):
+        g, store, inputs, loss = branched_net(seed=13)
+        acts = forward(g, store, inputs)
+        full = {k: v.copy() for k, v in backward(g, store, acts, loss).items()}
+        for name, slot in store.grads.items():
+            slot[...] = 7.0
+        backward(g, store, acts, loss, wrt=wrt)
+        for name, slot in store.grads.items():
+            if name in wrt:
+                assert slot.tobytes() == full[name].tobytes(), name
+            else:
+                assert (slot == 7.0).all(), name
+
+    def test_repeated_wrt_pass_is_stable(self):
+        g, store, inputs, loss = branched_net(seed=14)
+        acts = forward(g, store, inputs)
+        first = backward(g, store, acts, loss, wrt=["a.W"])["a.W"].copy()
+        second = backward(g, store, acts, loss, wrt=("a.W",))["a.W"]
+        assert first.tobytes() == second.tobytes()
+
+    def test_unknown_wrt_name_rejected(self):
+        g, store, inputs, loss = branched_net()
+        acts = forward(g, store, inputs)
+        with pytest.raises(GraphError, match="nope"):
+            backward(g, store, acts, loss, wrt=["a.W", "nope"])
+
+    def test_param_off_the_loss_path_gets_zero(self):
+        g, store, inputs, _ = branched_net()
+        loss = g.mean(g.param("a.W", (3, 4)))
+        acts = forward(g, store, inputs)
+        store.grads["b.W"][...] = 7.0
+        grads = backward(g, store, acts, loss, wrt=["b.W"])
+        assert (grads["b.W"] == 0.0).all()
 
 
 OP_BUILDERS = {

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from imdp.data import Dataset, synth_mixture
-from imdp.evaluation import (Classifier, CurveStats, SweepGrid, code_sweep,
-                             curve_stats, dataset_sha256,
+from imdp.evaluation import (Classifier, CurveStats, SweepGrid, UtilityReport,
+                             UtilityRow, code_sweep, curve_stats, dataset_sha256,
                              map_categories_to_labels, timing_overhead,
                              train_binary_classifier, utility_privacy_curve)
 from imdp.latent import LatentSpec
@@ -181,6 +183,15 @@ class TestUtilityCurve:
     def test_split_hash_stable(self):
         ds = synth_mixture(k=4, radius=0.75, std=0.05, n=100, seed=7)
         assert dataset_sha256(ds) == dataset_sha256(ds)
+
+    def test_spearman_of_tied_accuracies_is_nan_without_warning(self):
+        rows = [UtilityRow(epsilon=eps, train_source="generated", accuracy=0.5,
+                           n_train=10, n_test=10, mapping_tie=False)
+                for eps in (float("inf"), 2.2)]
+        report = UtilityReport(rows=rows, test_split_sha256="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(report.spearman())
 
 
 class TestCurveStats:

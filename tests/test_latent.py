@@ -70,6 +70,12 @@ class TestSampleCodes:
         with pytest.raises(ValueError):
             sample_codes(self.SPEC, 0, np.random.default_rng(0))
 
+    def test_sampled_codes_pass_validation(self):
+        spec = LatentSpec(z_dim=3, categorical=(4, 2), continuous=((-1.0, 1.0), (0.0, 5.0)))
+        codes = sample_codes(spec, 64, np.random.default_rng(5))
+        checked = Codes(z=codes.z, cat_onehot=codes.cat_onehot, cont=codes.cont, spec=spec)
+        assert checked.concat().tobytes() == codes.concat().tobytes()
+
     def test_codes_validation(self):
         with pytest.raises(ValueError):
             Codes(z=np.zeros((4, 2)), cat_onehot=[np.full((4, 3), 0.5)])

@@ -163,6 +163,46 @@ class TestCriticStep:
             assert results[0][name].tobytes() == results[1][name].tobytes()
 
 
+def assert_wrt_pass_matches_full(graph, store, acts, loss, wrt):
+    full = {n: g.copy() for n, g in backward(graph, store, acts, loss).items()}
+    for slot in store.grads.values():
+        slot[...] = 7.0
+    backward(graph, store, acts, loss, wrt=wrt)
+    for name, slot in store.grads.items():
+        if name in wrt:
+            assert slot.tobytes() == full[name].tobytes(), name
+        else:
+            assert (slot == 7.0).all(), name
+
+
+class TestPrunedBackwardOnTrainerGraphs:
+    def test_critic_graph(self):
+        data = mixture()
+        cfg = small_config()
+        tr = build_trainer(cfg, data)
+        codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(5))
+        gg, _, out = tr.gen._graph(cfg.batch)
+        x_fake = forward(gg, tr.store, {"gen_in": codes.concat()})[out]
+        cg = tr.critic_graph
+        acts = forward(cg.graph, tr.store, {"x_real": data.x[:cfg.batch], "x_fake": x_fake})
+        assert_wrt_pass_matches_full(cg.graph, tr.store, acts, cg.loss,
+                                     tr.critic.critic_path_names())
+
+    def test_generator_graph_both_passes(self):
+        data = mixture()
+        cfg = small_config()
+        tr = build_trainer(cfg, data)
+        codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(6))
+        inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
+                  "cont": codes.cont}
+        sg = tr.gen_graph
+        acts = forward(sg.graph, tr.store, inputs)
+        assert_wrt_pass_matches_full(sg.graph, tr.store, acts, sg.loss,
+                                     tr.gen.param_names())
+        mi_names = [*tr.critic.trunk_names(), *tr.critic.q_head_names()]
+        assert_wrt_pass_matches_full(sg.graph, tr.store, acts, sg.mi_loss, mi_names)
+
+
 class TestGeneratorStep:
     def test_zero_cat_weight_zeroes_cat_head_gradient(self):
         data = mixture()
