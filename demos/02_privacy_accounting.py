@@ -19,7 +19,7 @@ for eps in (1.22, 2.2, 5.5, float("inf")):
     print(f"  epsilon={eps:<6} -> sigma={sigma:.6g}")
 
 print()
-print("single-step log-moments, q=1 (no subsampling): quadrature vs analytic")
+print("single-step log-moments, q=1 (no subsampling): accountant vs analytic")
 for sigma in (1.0, 4.0):
     for lam in (1, 8, 32):
         got = step_log_moment(1.0, sigma, lam)

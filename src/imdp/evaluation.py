@@ -11,7 +11,6 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .autodiff import Graph, ParamStore, backward, forward
 from .data import Dataset, bytes_from_features
@@ -221,17 +220,32 @@ class UtilityReport:
         return {r.epsilon: r.accuracy for r in self.rows}
 
     def spearman(self) -> float:
-        """Rank correlation between privacy level and accuracy.
+        """Rank correlation between privacy level and accuracy."""
+        return spearman_rho([r.epsilon for r in self.rows],
+                            [r.accuracy for r in self.rows])
 
-        nan when either column is constant (e.g. every accuracy ties): the
-        correlation is undefined there, and scipy is not called, so no
-        ``ConstantInputWarning`` is printed.
-        """
-        eps = [r.epsilon for r in self.rows]
-        acc = [r.accuracy for r in self.rows]
-        if len(set(eps)) < 2 or len(set(acc)) < 2:
-            return float("nan")
-        return float(spearmanr(eps, acc).statistic)
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank; inf ranks last."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    first = np.flatnonzero(np.r_[True, v[order][1:] != v[order][:-1]])
+    last = np.r_[first[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((first + last + 1) / 2.0, last - first)
+    return ranks
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks.
+
+    nan when either column is constant (e.g. every accuracy ties), where
+    the correlation is undefined.
+    """
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
+        return float("nan")
+    return float(np.corrcoef(ra, rb)[0, 1])
 
 
 def dataset_sha256(ds: Dataset) -> str:

@@ -143,13 +143,6 @@ def sample_codes(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Code
     return Codes._trusted(z, onehots, cont, spec)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (batch, K) array."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class MiBound:
     """Graph nodes for the code-recovery lower bound and its parts."""

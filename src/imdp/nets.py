@@ -335,17 +335,12 @@ def load_checkpoint(path) -> CheckpointBundle:
     cfg = NetConfig(latent=latent, data_dim=data_dim,
                     gen_hidden=tuple(_widths_from_chain(params, "gen")),
                     trunk_hidden=tuple(_widths_from_chain(params, "dis")))
-    gen = GeneratorNet(cfg)
-    critic = CriticQNet(cfg)
-    for name in sorted(params):
-        target = gen.store if name.startswith("gen.") else critic.store
-        target.add(name, params[name])
-    expect_gen = set(build_generator(cfg).store.params)
-    expect_critic = set(build_critic(cfg).store.params)
-    if set(gen.store.params) != expect_gen or set(critic.store.params) != expect_critic:
+    want = {**build_generator(cfg).store.params, **build_critic(cfg).store.params}
+    if set(params) != set(want):
         raise CheckpointError("parameter names inconsistent with architecture")
-    for probe, want in ((gen, build_generator(cfg)), (critic, build_critic(cfg))):
-        for name, arr in probe.store.params.items():
-            if arr.shape != want.store.params[name].shape:
-                raise CheckpointError(f"parameter {name!r} has unexpected shape")
+    gen, critic = GeneratorNet(cfg), CriticQNet(cfg)
+    for name in sorted(params):
+        if params[name].shape != want[name].shape:
+            raise CheckpointError(f"parameter {name!r} has unexpected shape")
+        (gen if name.startswith("gen.") else critic).store.add(name, params[name])
     return CheckpointBundle(gen=gen, critic=critic, latent=latent, privacy=privacy)

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 from imdp.cli import (ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                       load_dataset, main, parse_config)
 from imdp.latent import LatentSpec
-from imdp.privacy import INF
+from imdp.privacy import INF, calibrate_sigma
 
 
 class TestParseConfig:
@@ -225,6 +226,23 @@ class TestCmdAccountant:
 
     def test_missing_noise_information_rejected(self, capsys):
         assert main(["accountant", "--q", "0.1"]) == EXIT_VALIDATION
+
+    def test_mnist_sampling_ratio_at_epsilon_5_5(self, capsys):
+        from test_privacy import binomial_log_moment
+        q, steps = 64 / 60000, 1000
+        code = main(["accountant", "--epsilon", "5.5", "--q", repr(q), "--delta", "1e-5",
+                     "--nd", "5", "--steps", str(steps)])
+        assert code == EXIT_OK
+        sigma = calibrate_sigma(5.5, 1e-5, q, 5)
+        want = min((steps * max(binomial_log_moment(q, sigma, lam), 0.0) + math.log(1e5)) / lam
+                   for lam in range(1, 33))
+        assert f"spent_epsilon(delta=1e-05) = {want:.6g}\n" in capsys.readouterr().out
+
+    def test_sigma_beyond_float_range_rejected(self, capsys):
+        code = main(["accountant", "--sigma", "1e-200", "--q", "0.5", "--steps", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("imdp: error: validation: ") and err.count("\n") == 1
 
 
 class TestOutputContainment:

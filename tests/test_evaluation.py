@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from imdp.data import Dataset, synth_mixture
 from imdp.evaluation import (Classifier, CurveStats, SweepGrid, UtilityReport,
                              UtilityRow, code_sweep, curve_stats, dataset_sha256,
-                             map_categories_to_labels, timing_overhead,
+                             map_categories_to_labels, spearman_rho, timing_overhead,
                              train_binary_classifier, utility_privacy_curve)
 from imdp.latent import LatentSpec
 from imdp.nets import NetConfig, build_critic, build_generator
@@ -192,6 +194,42 @@ class TestUtilityCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(report.spearman())
+
+
+class TestSpearmanRho:
+    @pytest.mark.parametrize("a,b", [
+        ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0], [0.1, 0.4, 0.2, 0.2, 0.9, 0.2]),
+        ([float("inf"), 5.5, 2.2, 1.22], [0.9, 0.8, 0.8, 0.6]),
+        ([float("inf"), 2.2, float("inf"), 1.22, 2.2], [0.7, 0.7, 0.9, 0.5, 0.6]),
+        ([3.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_matches_scipy_on_ties_and_infinities(self, a, b):
+        from scipy.stats import spearmanr
+        assert spearman_rho(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-12)
+
+    def test_matches_scipy_on_random_inputs(self):
+        from scipy.stats import spearmanr
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(3, 40))
+            a = rng.integers(0, 6, size=n).astype(float)
+            a[rng.random(n) < 0.2] = np.inf
+            b = np.round(rng.normal(size=n), 1)
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                continue
+            assert spearman_rho(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-12)
+
+    def test_constant_column_is_nan(self):
+        assert np.isnan(spearman_rho([1.0, 1.0, 1.0], [0.1, 0.2, 0.3]))
+        assert np.isnan(spearman_rho([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, imdp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCurveStats:

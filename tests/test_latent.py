@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from imdp.autodiff import Graph, ParamStore, forward, grad_check
-from imdp.latent import Codes, LatentSpec, mi_lower_bound, sample_codes, softmax
+from imdp.autodiff import _softmax_rows as softmax
+from imdp.latent import Codes, LatentSpec, mi_lower_bound, sample_codes
 
 
 class TestLatentSpec:

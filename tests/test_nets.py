@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from imdp.latent import Codes, LatentSpec, sample_codes, softmax
+from imdp.autodiff import _softmax_rows as softmax
+from imdp.latent import Codes, LatentSpec, sample_codes
 from imdp.nets import (CheckpointError, CriticQNet, GeneratorNet, NetConfig,
                        build_critic, build_generator, critic_score,
                        generate, load_checkpoint, q_posterior, save_checkpoint)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from imdp.autodiff import ParamStore
-from imdp.privacy import (INF, AccountantState, IntegrationError, PrivacySpec,
-                          accumulate, calibrate_sigma, clip_weights,
-                          perturb_gradient, spent_epsilon, step_log_moment)
+from imdp.privacy import (INF, AccountantState, PrivacySpec, accumulate,
+                          calibrate_sigma, clip_weights, perturb_gradient,
+                          spent_epsilon, step_log_moment)
 
 # frozen from a 40-digit desk calculation of 2 q sqrt(n_d log(1/delta)) / eps
 # at delta=1e-5, q=64/60000, n_d=5
@@ -145,6 +145,46 @@ class TestPerturbGradient:
                              np.random.default_rng(0))
 
 
+def binomial_log_moment(q, sigma, lam):
+    """Mixture-over-base moment for integer orders, expanded over the
+    lam draws from the mixture (not the program's lam+1 expansion)."""
+    from scipy.special import gammaln, logsumexp
+    s2 = 2.0 * sigma * sigma
+    terms = []
+    for j in range(lam + 1):
+        lcomb = gammaln(lam + 1) - gammaln(j + 1) - gammaln(lam - j + 1)
+        base = lcomb + (lam - j) * math.log1p(-q) + j * math.log(q)
+        inner = logsumexp([math.log1p(-q) + j * (j - 1) / s2,
+                           math.log(q) + j * (j + 1) / s2])
+        terms.append(base + inner)
+    return float(logsumexp(terms))
+
+
+def quadrature_log_moment(q, sigma, lam, mixture_num):
+    """log of the integral of mu_num^(lam+1) / mu_den^lam by adaptive
+    quadrature, with mu0 = N(0, sigma^2) and mu = (1-q) mu0 + q N(1, sigma^2);
+    mixture_num picks mu over mu0, else mu0 over mu.  The integrand is a
+    sum of Gaussian bumps at integers in [-(lam+1), lam+2], given as
+    break points; the log integrand's peak is shifted out before exp."""
+    from scipy.integrate import quad
+
+    def log_f(x):
+        x = np.asarray(x, dtype=np.float64)
+        l0 = -x * x / (2.0 * sigma * sigma)
+        l1 = -(x - 1.0) ** 2 / (2.0 * sigma * sigma)
+        lm = l1 if q == 1.0 else np.logaddexp(math.log1p(-q) + l0, math.log(q) + l1)
+        num, den = (lm, l0) if mixture_num else (l0, lm)
+        return (lam + 1.0) * num - lam * den - math.log(sigma * math.sqrt(2.0 * math.pi))
+
+    lo, hi = -(lam + 1.5) - 24.0 * sigma, lam + 2.5 + 24.0 * sigma
+    centers = np.arange(-(lam + 1), lam + 3, dtype=np.float64)
+    shift = float(np.max(log_f(np.concatenate([np.linspace(lo, hi, 4097), centers]))))
+    value, abserr = quad(lambda x: math.exp(log_f(x) - shift), lo, hi,
+                         points=centers, limit=4000, epsabs=1e-13, epsrel=1e-11)
+    assert value > 0.0 and abserr <= 1e-8 * value, "quadrature did not converge"
+    return shift + math.log(value)
+
+
 class TestStepLogMoment:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
     def test_q_one_matches_analytic_log_mgf(self, sigma):
@@ -159,34 +199,34 @@ class TestStepLogMoment:
         assert step_log_moment(0.01, 1.0, 8) > step_log_moment(0.01, 2.0, 8)
 
     def test_matches_independent_binomial_expansion(self):
-        # exact moment of the mixture-vs-base direction for integer orders
-        from scipy.special import gammaln, logsumexp
-
-        def binomial_log_moment(q, sigma, lam):
-            s2 = 2.0 * sigma * sigma
-            terms = []
-            for j in range(lam + 1):
-                lcomb = gammaln(lam + 1) - gammaln(j + 1) - gammaln(lam - j + 1)
-                base = lcomb + (lam - j) * math.log1p(-q) + j * math.log(q)
-                inner = logsumexp([math.log1p(-q) + j * (j - 1) / s2,
-                                   math.log(q) + j * (j + 1) / s2])
-                terms.append(base + inner)
-            return float(logsumexp(terms))
-
         for q, sigma, lam in [(0.01, 1.0, 8), (0.1, 0.7, 16), (0.5, 2.0, 32),
                               (0.001, 4.0, 32), (0.0625, 0.78, 12)]:
             got = step_log_moment(q, sigma, lam)
             want = binomial_log_moment(q, sigma, lam)
-            # the kept direction is the max of both, so it may only exceed
             assert got >= want - 1e-9
             assert got == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("q", [0.01, 0.0625, 0.3, 1.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
+    def test_matches_quadrature_of_both_directions(self, q, sigma):
+        for lam in (1, 4, 16, 32):
+            got = step_log_moment(q, sigma, lam)
+            assert got == pytest.approx(quadrature_log_moment(q, sigma, lam, True),
+                                        rel=1e-8, abs=1e-8)
+            assert quadrature_log_moment(q, sigma, lam, False) <= got + 1e-8 * max(1.0, got)
 
     def test_non_negative(self):
         assert step_log_moment(0.3, 3.0, 1) >= 0.0
 
-    def test_unsupported_sigma_reported(self):
-        with pytest.raises(IntegrationError):
-            step_log_moment(0.5, 1e-7, 4)
+    def test_tiny_sigma_is_finite_and_exact(self):
+        for lam in (1, 4, 32):
+            got = step_log_moment(0.5, 1e-7, lam)
+            assert math.isfinite(got)
+            assert got == pytest.approx(binomial_log_moment(0.5, 1e-7, lam), rel=1e-12)
+
+    def test_sigma_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            step_log_moment(0.5, 1e-200, 1)
 
     @pytest.mark.parametrize("bad", [dict(q=0.0, sigma=1.0, lam=1),
                                      dict(q=0.5, sigma=0.0, lam=1),
