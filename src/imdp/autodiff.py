@@ -24,6 +24,7 @@ reads (e.g. ``g @ W.T`` into an input leaf).
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -249,6 +250,20 @@ class Graph:
 
     def add_scalar(self, a: int, c: float) -> int:
         return self._append(Node("add_scalar", (a,), self.shape(a), k=float(c)))
+
+
+def graph_per_batch(build):
+    """Method decorator: ``build(self, batch)`` runs once per instance and
+    batch size; later calls return what it built.  Graphs have concrete
+    batch dimensions, so each batch size needs its own."""
+    @functools.wraps(build)
+    def cached(self, batch: int):
+        graphs = vars(self).setdefault("_graphs", {})
+        built = graphs.get(batch)
+        if built is None:
+            built = graphs[batch] = build(self, batch)
+        return built
+    return cached
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

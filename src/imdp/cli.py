@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, privacy
+from .artifacts import write_atomic
 from .data import Dataset, load_idx_images, load_idx_labels, synth_mixture
 from .evaluation import code_sweep, dataset_sha256, utility_privacy_curve
 from .latent import LatentSpec
@@ -227,7 +228,7 @@ def load_dataset(descriptor: str) -> Dataset:
             labels = load_idx_labels(value)
             if labels.shape[0] != ds.n:
                 raise ConfigError("label count does not match image count")
-            ds = Dataset(x=ds.x, y=labels, source=ds.source)
+            ds = Dataset._trusted(ds.x, labels, source=ds.source)
         return ds
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
@@ -248,8 +249,7 @@ def _make_run_dir(root: str, config_hash: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _manifest_text(resolved: ResolvedConfig, entries: dict[str, str]) -> str:
@@ -342,10 +342,10 @@ def cmd_evaluate(args) -> int:
     rng = np.random.default_rng(int(args.seed))
     order = rng.permutation(real.n)
     n_map = min(int(args.map_samples), real.n // 2)
-    map_data = Dataset(x=real.x[order[:n_map]], y=real.y[order[:n_map]],
-                       source=f"{real.source}|map")
-    test_data = Dataset(x=real.x[order[n_map:]], y=real.y[order[n_map:]],
-                        source=f"{real.source}|test")
+    map_data = Dataset._trusted(real.x[order[:n_map]], real.y[order[:n_map]],
+                                source=f"{real.source}|map")
+    test_data = Dataset._trusted(real.x[order[n_map:]], real.y[order[n_map:]],
+                                 source=f"{real.source}|test")
     report = utility_privacy_curve(models, pair=pair, real_test=test_data,
                                    map_data=map_data,
                                    per_class=int(args.per_class),

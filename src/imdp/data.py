@@ -5,9 +5,20 @@ digit layout) rescaled to [-1, 1], and synthetic ring-of-Gaussians
 mixtures for fast trend experiments.  Batches are drawn uniformly with
 replacement so the per-batch inclusion probability matches the sampling
 ratio used by the privacy accounting.
+
+IDX images stream: the header and the file size are checked before
+anything is allocated, then the pixels are read through one reusable
+block of ``IDX_BLOCK`` bytes and decoded in place into the preallocated
+float64 matrix.  Each block goes through the same IEEE operations in the
+same order as ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0``, so the
+features are byte-identical to that expression, and peak memory is the
+matrix plus one block.  Every byte maps to a finite value in [-1, 1], so
+the decoded matrix skips ``Dataset``'s finiteness and range scans, as do
+row selections and label attachments of an already validated ``Dataset``.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -17,6 +28,7 @@ from .autodiff import as_tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_BLOCK = 1 << 17  # pixels decoded per block: 128 KiB read, 1 MiB written
 
 
 class DataFormatError(ValueError):
@@ -33,14 +45,31 @@ class Dataset:
 
     def __post_init__(self):
         self.x = as_tensor(self.x, where="dataset features")
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise ValueError("features must be a non-empty (N, d) matrix")
-        if self.x.min() < -1.0 or self.x.max() > 1.0:
-            raise ValueError("features must lie in [-1, 1]")
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=np.int64)
-            if self.y.shape != (self.x.shape[0],):
-                raise ValueError("labels must have one entry per row")
+        self._check_shapes()
+        if self.x.min() < -1.0 or self.x.max() > 1.0:
+            raise ValueError("features must lie in [-1, 1]")
+
+    def _check_shapes(self) -> None:
+        if self.x.ndim != 2 or self.x.shape[0] < 1:
+            raise ValueError("features must be a non-empty (N, d) matrix")
+        if self.y is not None and self.y.shape != (self.x.shape[0],):
+            raise ValueError("labels must have one entry per row")
+
+    @classmethod
+    def _trusted(cls, x, y=None, source: str = "unknown") -> "Dataset":
+        """Wrap features that are valid by construction, skipping the scans.
+
+        Only for a float64 C-contiguous (N, d) matrix already finite and in
+        [-1, 1], with int64 labels or None: the IDX decode, or rows of a
+        validated ``Dataset``.  The O(1) shape checks still run, so an empty
+        row selection is rejected as ``Dataset(...)`` rejects it.
+        """
+        ds = object.__new__(cls)
+        ds.x, ds.y, ds.source = x, y, source
+        ds._check_shapes()
+        return ds
 
     @property
     def n(self) -> int:
@@ -60,21 +89,38 @@ def _read_be_u32(data: bytes, offset: int) -> int:
 def load_idx_images(path) -> Dataset:
     """Parse an IDX image file into a flattened, rescaled feature matrix."""
     with open(path, "rb") as f:
-        data = f.read()
-    magic = _read_be_u32(data, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise DataFormatError(f"bad IDX image magic 0x{magic:08x}")
-    n = _read_be_u32(data, 4)
-    rows = _read_be_u32(data, 8)
-    cols = _read_be_u32(data, 12)
-    if n < 1 or rows < 1 or cols < 1 or rows * cols > 1 << 24:
-        raise DataFormatError(f"implausible IDX dimensions ({n}, {rows}, {cols})")
-    need = 16 + n * rows * cols
-    if len(data) != need:
-        raise DataFormatError(f"IDX payload holds {len(data) - 16} bytes, expected {n * rows * cols}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    x = pixels.astype(np.float64) / 255.0 * 2.0 - 1.0
-    return Dataset(x=x, source=f"idx:{path}")
+        head = f.read(16)
+        magic = _read_be_u32(head, 0)
+        if magic != IDX_IMAGE_MAGIC:
+            raise DataFormatError(f"bad IDX image magic 0x{magic:08x}")
+        n = _read_be_u32(head, 4)
+        rows = _read_be_u32(head, 8)
+        cols = _read_be_u32(head, 12)
+        if n < 1 or rows < 1 or cols < 1 or rows * cols > 1 << 24:
+            raise DataFormatError(f"implausible IDX dimensions ({n}, {rows}, {cols})")
+        total = n * rows * cols
+
+        def wrong_size(held: int) -> DataFormatError:
+            return DataFormatError(f"IDX payload holds {held} bytes, expected {total}")
+
+        size = os.fstat(f.fileno()).st_size
+        if size != 16 + total:
+            raise wrong_size(size - 16)
+        x = np.empty((n, rows * cols))
+        flat = x.reshape(-1)
+        raw = np.empty(min(IDX_BLOCK, total), dtype=np.uint8)
+        for lo in range(0, total, raw.size):
+            block = flat[lo:lo + raw.size]
+            got = f.readinto(raw[:block.size])
+            if got != block.size:
+                raise wrong_size(lo + got)
+            block[...] = raw[:got]
+            block /= 255.0
+            block *= 2.0
+            block -= 1.0
+        if f.read(1):
+            raise wrong_size(os.fstat(f.fileno()).st_size - 16)
+    return Dataset._trusted(x, source=f"idx:{path}")
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -153,7 +199,7 @@ def subset_by_label(ds: Dataset, labels, per_class: int, seed: int) -> Dataset:
         picks.append(rng.choice(rows, size=per_class, replace=False))
     order = np.concatenate(picks)
     rng.shuffle(order)
-    return Dataset(x=ds.x[order], y=ds.y[order], source=f"{ds.source}|subset")
+    return Dataset._trusted(ds.x[order], ds.y[order], source=f"{ds.source}|subset")
 
 
 def batch_iter(ds: Dataset, m: int, seed: int):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Graph, ParamStore, backward, forward
+from .artifacts import write_atomic
+from .autodiff import Graph, ParamStore, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
 from .latent import Codes, LatentSpec
 from .nets import CriticQNet, GeneratorNet, generate, q_posterior
@@ -48,8 +49,7 @@ class SweepGrid:
                 canvas[r * img_side:(r + 1) * img_side,
                        c * img_side:(c + 1) * img_side] = img
         header = f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii")
-        with open(path, "wb") as f:
-            f.write(header + canvas.tobytes())
+        write_atomic(path, header + canvas.tobytes())
 
     def to_table(self) -> str:
         """Comma-separated rows: category, code value, then the features."""
@@ -116,20 +116,17 @@ class Classifier:
         self.store.add("c.out.b", np.zeros(2))
         self.dim = dim
         self.hidden = hidden
-        self._graphs: dict[int, tuple] = {}
 
+    @graph_per_batch
     def _graph(self, batch: int):
-        if batch not in self._graphs:
-            g = Graph()
-            x = g.input("x", (batch, self.dim))
-            h = g.relu(g.affine(x, g.param("c.h.W", (self.dim, self.hidden)),
-                                g.param("c.h.b", (self.hidden,))))
-            logits = g.affine(h, g.param("c.out.W", (self.hidden, 2)),
-                              g.param("c.out.b", (2,)))
-            t = g.input("t", (batch, 2))
-            loss = g.softmax_xent(logits, t)
-            self._graphs[batch] = (g, logits, loss)
-        return self._graphs[batch]
+        g = Graph()
+        x = g.input("x", (batch, self.dim))
+        h = g.relu(g.affine(x, g.param("c.h.W", (self.dim, self.hidden)),
+                            g.param("c.h.b", (self.hidden,))))
+        logits = g.affine(h, g.param("c.out.W", (self.hidden, 2)),
+                          g.param("c.out.b", (2,)))
+        t = g.input("t", (batch, 2))
+        return g, logits, g.softmax_xent(logits, t)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         g, logits, _ = self._graph(x.shape[0])
@@ -288,8 +285,8 @@ def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
     keep = np.isin(real_test.y, (a, b))
     if not keep.any():
         raise ValueError(f"test split holds no rows labeled {a} or {b}")
-    test = Dataset(x=real_test.x[keep], y=real_test.y[keep],
-                   source=f"{real_test.source}|pair={a}-{b}")
+    test = Dataset._trusted(real_test.x[keep], real_test.y[keep],
+                            source=f"{real_test.source}|pair={a}-{b}")
     rows = []
     for eps in sorted(models, reverse=True):
         gen, critic = models[eps]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, ParamStore, as_tensor, forward
+from .artifacts import write_atomic
+from .autodiff import Graph, ParamStore, as_tensor, forward, graph_per_batch
 from .latent import Codes, LatentSpec
 from .privacy import PrivacySpec
 
@@ -45,10 +46,31 @@ class NetConfig:
                 raise ValueError("hidden widths must be >= 1")
 
 
-def _init_affine(store: ParamStore, name: str, n_in: int, n_out: int,
-                 rng: np.random.Generator) -> None:
-    store.add(f"{name}.W", rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_in, n_out)))
-    store.add(f"{name}.b", np.zeros(n_out))
+# Each net states its architecture once, as ``layers()``: affine layer
+# name -> (fan_in, fan_out), in initialization order.  Parameter init,
+# graph building and checkpoint validation all read it.
+Layers = dict[str, tuple[int, int]]
+
+
+def param_shapes(layers: Layers) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape for a net's affine layers."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, (n_in, n_out) in layers.items():
+        shapes[f"{name}.W"] = (n_in, n_out)
+        shapes[f"{name}.b"] = (n_out,)
+    return shapes
+
+
+def _init_layers(store: ParamStore, layers: Layers, rng: np.random.Generator) -> None:
+    for name, shape in param_shapes(layers).items():
+        if name.endswith(".W"):
+            store.add(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
+        else:
+            store.add(name, np.zeros(shape))
+
+
+def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
+    return g.affine(h, g.param(f"{name}.W", (n_in, n_out)), g.param(f"{name}.b", (n_out,)))
 
 
 class GeneratorNet:
@@ -57,7 +79,6 @@ class GeneratorNet:
     def __init__(self, cfg: NetConfig, store: ParamStore | None = None):
         self.cfg = cfg
         self.store = store if store is not None else ParamStore()
-        self._graphs: dict[int, tuple[Graph, int, int]] = {}
 
     @property
     def input_width(self) -> int:
@@ -67,34 +88,30 @@ class GeneratorNet:
     def data_dim(self) -> int:
         return self.cfg.data_dim
 
+    def layers(self) -> Layers:
+        widths = [self.input_width, *self.cfg.gen_hidden, self.cfg.data_dim]
+        names = [*(f"gen.h{i}" for i in range(len(self.cfg.gen_hidden))), "gen.out"]
+        return {name: (n_in, n_out) for name, n_in, n_out in zip(names, widths, widths[1:])}
+
     def init_params(self, rng: np.random.Generator) -> None:
-        widths = [self.input_width, *self.cfg.gen_hidden]
-        for i in range(len(widths) - 1):
-            _init_affine(self.store, f"gen.h{i}", widths[i], widths[i + 1], rng)
-        _init_affine(self.store, "gen.out", widths[-1], self.cfg.data_dim, rng)
+        _init_layers(self.store, self.layers(), rng)
 
     def param_names(self) -> list[str]:
         return self.store.names_with_prefix("gen.")
 
     def append_to_graph(self, g: Graph, x: int) -> int:
         """Add the generator stack to a graph; returns the output node."""
-        widths = [self.input_width, *self.cfg.gen_hidden]
         h = x
-        for i in range(len(widths) - 1):
-            w = g.param(f"gen.h{i}.W", (widths[i], widths[i + 1]))
-            b = g.param(f"gen.h{i}.b", (widths[i + 1],))
-            h = g.relu(g.affine(h, w, b))
-        w = g.param("gen.out.W", (widths[-1], self.cfg.data_dim))
-        b = g.param("gen.out.b", (self.cfg.data_dim,))
-        return g.tanh(g.affine(h, w, b))
+        for name, shape in self.layers().items():
+            h = _affine(g, h, name, *shape)
+            h = g.tanh(h) if name == "gen.out" else g.relu(h)
+        return h
 
+    @graph_per_batch
     def _graph(self, batch: int) -> tuple[Graph, int, int]:
-        if batch not in self._graphs:
-            g = Graph()
-            x = g.input("gen_in", (batch, self.input_width))
-            out = self.append_to_graph(g, x)
-            self._graphs[batch] = (g, x, out)
-        return self._graphs[batch]
+        g = Graph()
+        x = g.input("gen_in", (batch, self.input_width))
+        return g, x, self.append_to_graph(g, x)
 
 
 def build_generator(cfg: NetConfig) -> GeneratorNet:
@@ -128,22 +145,25 @@ class CriticQNet:
     def __init__(self, cfg: NetConfig, store: ParamStore | None = None):
         self.cfg = cfg
         self.store = store if store is not None else ParamStore()
-        self._graphs: dict[int, tuple] = {}
 
     @property
     def data_dim(self) -> int:
         return self.cfg.data_dim
 
-    def init_params(self, rng: np.random.Generator) -> None:
+    def layers(self) -> Layers:
+        """Trunk, then score head, then recovery heads."""
         widths = [self.cfg.data_dim, *self.cfg.trunk_hidden]
-        for i in range(len(widths) - 1):
-            _init_affine(self.store, f"dis.h{i}", widths[i], widths[i + 1], rng)
+        layers = {f"dis.h{i}": (widths[i], widths[i + 1]) for i in range(len(widths) - 1)}
         top = widths[-1]
-        _init_affine(self.store, "dis.score", top, 1, rng)
+        layers["dis.score"] = (top, 1)
         for i, k in enumerate(self.cfg.latent.categorical):
-            _init_affine(self.store, f"q.cat{i}", top, k, rng)
+            layers[f"q.cat{i}"] = (top, k)
         if self.cfg.latent.n_cont:
-            _init_affine(self.store, "q.cont", top, self.cfg.latent.n_cont, rng)
+            layers["q.cont"] = (top, self.cfg.latent.n_cont)
+        return layers
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        _init_layers(self.store, self.layers(), rng)
 
     def critic_path_names(self) -> list[str]:
         """Trunk plus score head: everything updated on real data."""
@@ -157,43 +177,30 @@ class CriticQNet:
         return self.store.names_with_prefix("q.")
 
     def append_trunk(self, g: Graph, x: int) -> int:
-        widths = [self.cfg.data_dim, *self.cfg.trunk_hidden]
         h = x
-        for i in range(len(widths) - 1):
-            w = g.param(f"dis.h{i}.W", (widths[i], widths[i + 1]))
-            b = g.param(f"dis.h{i}.b", (widths[i + 1],))
-            h = g.leaky_relu(g.affine(h, w, b))
+        for name, shape in self.layers().items():
+            if name.startswith("dis.h"):
+                h = g.leaky_relu(_affine(g, h, name, *shape))
         return h
 
     def append_score_head(self, g: Graph, trunk: int) -> int:
-        top = self.cfg.trunk_hidden[-1] if self.cfg.trunk_hidden else self.cfg.data_dim
-        w = g.param("dis.score.W", (top, 1))
-        b = g.param("dis.score.b", (1,))
-        return g.affine(trunk, w, b)
+        return _affine(g, trunk, "dis.score", *self.layers()["dis.score"])
 
     def append_q_heads(self, g: Graph, trunk: int) -> tuple[list[int], int | None]:
-        top = self.cfg.trunk_hidden[-1] if self.cfg.trunk_hidden else self.cfg.data_dim
-        cat_nodes = []
-        for i, k in enumerate(self.cfg.latent.categorical):
-            w = g.param(f"q.cat{i}.W", (top, k))
-            b = g.param(f"q.cat{i}.b", (k,))
-            cat_nodes.append(g.affine(trunk, w, b))
-        cont_node = None
-        if self.cfg.latent.n_cont:
-            w = g.param("q.cont.W", (top, self.cfg.latent.n_cont))
-            b = g.param("q.cont.b", (self.cfg.latent.n_cont,))
-            cont_node = g.affine(trunk, w, b)
+        layers = self.layers()
+        cat_nodes = [_affine(g, trunk, f"q.cat{i}", *layers[f"q.cat{i}"])
+                     for i in range(len(self.cfg.latent.categorical))]
+        cont_node = _affine(g, trunk, "q.cont", *layers["q.cont"]) if "q.cont" in layers else None
         return cat_nodes, cont_node
 
+    @graph_per_batch
     def _graph(self, batch: int):
-        if batch not in self._graphs:
-            g = Graph()
-            x = g.input("x", (batch, self.cfg.data_dim))
-            trunk = self.append_trunk(g, x)
-            score = self.append_score_head(g, trunk)
-            cat_nodes, cont_node = self.append_q_heads(g, trunk)
-            self._graphs[batch] = (g, score, cat_nodes, cont_node)
-        return self._graphs[batch]
+        g = Graph()
+        x = g.input("x", (batch, self.cfg.data_dim))
+        trunk = self.append_trunk(g, x)
+        score = self.append_score_head(g, trunk)
+        cat_nodes, cont_node = self.append_q_heads(g, trunk)
+        return g, score, cat_nodes, cont_node
 
 
 def build_critic(cfg: NetConfig) -> CriticQNet:
@@ -275,8 +282,7 @@ def save_checkpoint(path, gen: GeneratorNet, critic: CriticQNet,
     blob = _spec_block(gen.cfg.latent, privacy)
     out.append(struct.pack("<I", len(blob)))
     out.append(blob)
-    with open(path, "wb") as f:
-        f.write(b"".join(out))
+    write_atomic(path, b"".join(out))
 
 
 class _Reader:
@@ -297,10 +303,8 @@ class _Reader:
 
 def _widths_from_chain(params: dict[str, np.ndarray], prefix: str) -> list[int]:
     widths = []
-    i = 0
-    while f"{prefix}.h{i}.W" in params:
-        widths.append(params[f"{prefix}.h{i}.W"].shape[1])
-        i += 1
+    while (w := params.get(f"{prefix}.h{len(widths)}.W")) is not None and w.ndim == 2:
+        widths.append(w.shape[1])
     return widths
 
 
@@ -331,16 +335,18 @@ def load_checkpoint(path) -> CheckpointBundle:
 
     if "gen.out.W" not in params or "dis.score.W" not in params:
         raise CheckpointError("checkpoint missing network parameters")
+    if params["gen.out.W"].ndim != 2:
+        raise CheckpointError("parameter 'gen.out.W' has unexpected shape")
     data_dim = params["gen.out.W"].shape[1]
     cfg = NetConfig(latent=latent, data_dim=data_dim,
                     gen_hidden=tuple(_widths_from_chain(params, "gen")),
                     trunk_hidden=tuple(_widths_from_chain(params, "dis")))
-    want = {**build_generator(cfg).store.params, **build_critic(cfg).store.params}
+    gen, critic = GeneratorNet(cfg), CriticQNet(cfg)
+    want = {**param_shapes(gen.layers()), **param_shapes(critic.layers())}
     if set(params) != set(want):
         raise CheckpointError("parameter names inconsistent with architecture")
-    gen, critic = GeneratorNet(cfg), CriticQNet(cfg)
     for name in sorted(params):
-        if params[name].shape != want[name].shape:
+        if params[name].shape != want[name]:
             raise CheckpointError(f"parameter {name!r} has unexpected shape")
         (gen if name.startswith("gen.") else critic).store.add(name, params[name])
     return CheckpointBundle(gen=gen, critic=critic, latent=latent, privacy=privacy)

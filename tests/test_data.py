@@ -1,11 +1,17 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imdp.data import (DataFormatError, Dataset, batch_iter, bytes_from_features,
-                       downsample_images, load_idx_images, load_idx_labels,
-                       subset_by_label, synth_mixture)
+from imdp.data import (IDX_BLOCK, DataFormatError, Dataset, batch_iter,
+                       bytes_from_features, downsample_images, load_idx_images,
+                       load_idx_labels, subset_by_label, synth_mixture)
+
+# Deterministic examples and no example database written to the tree.
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 def write_idx_images(path, images):
@@ -58,7 +64,7 @@ class TestIdxImages:
         write_idx_images(path, np.zeros((4, 3, 3), dtype=np.uint8))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="holds 31 bytes, expected 36"):
             load_idx_images(path)
 
     def test_dimension_overflow_rejected(self, tmp_path):
@@ -67,6 +73,152 @@ class TestIdxImages:
             f.write(struct.pack(">IIII", 0x00000803, 1, 1 << 16, 1 << 16))
         with pytest.raises(DataFormatError):
             load_idx_images(path)
+
+
+class TestIdxDecode:
+    def test_every_byte_value_decodes_exactly_and_in_range(self, tmp_path):
+        path = tmp_path / "images.idx"
+        write_idx_images(path, np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
+        x = load_idx_images(path).x.ravel()
+        want = np.array([np.float64(b) / 255.0 * 2.0 - 1.0 for b in range(256)])
+        assert x.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert x.min() == -1.0 and x.max() == 1.0
+
+    def test_blocks_with_ragged_tail_match_whole_array_decode(self, tmp_path):
+        n = 2 * IDX_BLOCK // 784 + 3  # two full blocks, then a ragged third
+        assert (n * 784) % IDX_BLOCK != 0
+        imgs = np.random.default_rng(15).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        ds = load_idx_images(path)
+        want = imgs.reshape(n, 784).astype(np.float64) / 255.0 * 2.0 - 1.0
+        assert ds.x.shape == want.shape and ds.x.flags.c_contiguous
+        assert ds.x.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_matrix_plus_one_block(self, tmp_path):
+        n = 2000
+        imgs = np.random.default_rng(16).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        del imgs
+        tracemalloc.start()
+        try:
+            ds = load_idx_images(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 KiB covers the file object's read buffer and interpreter objects.
+        assert peak <= ds.x.nbytes + IDX_BLOCK + 16 * 1024
+
+    def test_huge_row_count_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "images.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 2**32 - 1, 4, 4) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="holds 16 bytes"):
+                load_idx_images(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "images.idx"
+        write_idx_images(path, np.zeros((2, 3, 3), dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + b"\x00\x07")
+        with pytest.raises(DataFormatError, match="holds 20 bytes, expected 18"):
+            load_idx_images(path)
+
+
+def _image_file(n: int, rows: int, cols: int, pixels: bytes) -> bytes:
+    return struct.pack(">IIII", 0x00000803, n, rows, cols) + pixels
+
+
+@st.composite
+def valid_image_files(draw):
+    n, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    size = n * rows * cols
+    return _image_file(n, rows, cols, draw(st.binary(min_size=size, max_size=size)))
+
+
+@st.composite
+def valid_label_files(draw):
+    labels = draw(st.binary(min_size=1, max_size=12))
+    return struct.pack(">II", 0x00000801, len(labels)) + labels
+
+
+def _flip(blob: bytes, bit: int) -> bytes:
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@pytest.fixture(scope="module")
+def idx_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx") / "payload.idx"
+
+
+class TestIdxParsersProperties:
+    """Malformed files raise DataFormatError and nothing else: no IndexError,
+    struct.error, MemoryError or numpy ValueError escapes either parser."""
+
+    @staticmethod
+    def load_or_reject(loader, path, blob: bytes):
+        path.write_bytes(blob)
+        try:
+            return loader(path)
+        except DataFormatError:
+            return None
+
+    @PROPERTY
+    @given(blob=valid_image_files(), cut=st.integers(min_value=0))
+    def test_truncated_images(self, idx_path, blob, cut):
+        idx_path.write_bytes(blob[:cut % len(blob)])
+        with pytest.raises(DataFormatError):
+            load_idx_images(idx_path)
+
+    @PROPERTY
+    @given(blob=valid_label_files(), cut=st.integers(min_value=0))
+    def test_truncated_labels(self, idx_path, blob, cut):
+        idx_path.write_bytes(blob[:cut % len(blob)])
+        with pytest.raises(DataFormatError):
+            load_idx_labels(idx_path)
+
+    @PROPERTY
+    @given(blob=valid_image_files(), bit=st.integers(min_value=0))
+    def test_bit_flipped_images(self, idx_path, blob, bit):
+        bit %= 8 * len(blob)
+        flipped = _flip(blob, bit)
+        ds = self.load_or_reject(load_idx_images, idx_path, flipped)
+        if bit >= 8 * 16:  # a flip in the payload leaves a valid file
+            pixels = np.frombuffer(flipped, dtype=np.uint8, offset=16)
+            assert ds.x.tobytes() == (pixels.astype(np.float64) / 255.0 * 2.0 - 1.0).tobytes()
+
+    @PROPERTY
+    @given(blob=valid_label_files(), bit=st.integers(min_value=0))
+    def test_bit_flipped_labels(self, idx_path, blob, bit):
+        bit %= 8 * len(blob)
+        flipped = _flip(blob, bit)
+        labels = self.load_or_reject(load_idx_labels, idx_path, flipped)
+        if bit >= 8 * 8:
+            np.testing.assert_array_equal(labels, list(flipped[8:]))
+
+    @PROPERTY
+    @given(blob=st.one_of(
+        st.binary(max_size=48),
+        st.binary(max_size=48).map(lambda b: struct.pack(">I", 0x00000803) + b),
+        st.builds(_image_file, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+                  st.integers(0, 2**32 - 1), st.binary(max_size=32))))
+    def test_random_image_files(self, idx_path, blob):
+        self.load_or_reject(load_idx_images, idx_path, blob)
+
+    @PROPERTY
+    @given(blob=st.one_of(
+        st.binary(max_size=24),
+        st.builds(lambda n, b: struct.pack(">II", 0x00000801, n) + b,
+                  st.integers(0, 2**32 - 1), st.binary(max_size=16))))
+    def test_random_label_files(self, idx_path, blob):
+        self.load_or_reject(load_idx_labels, idx_path, blob)
 
 
 class TestIdxLabels:
@@ -211,6 +363,23 @@ class TestDownsample:
         x = np.full((1, 28 * 28), 0.25)
         out = downsample_images(x, 28, 14)
         np.testing.assert_allclose(out, 0.25)
+
+
+class TestTrustedDataset:
+    def test_subset_rows_come_from_the_validated_dataset(self):
+        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=17)
+        sub = subset_by_label(ds, {0, 2}, per_class=5, seed=0)
+        assert sub.x.dtype == np.float64 and sub.x.flags.c_contiguous
+        assert sub.y.dtype == np.int64
+        for row, label in zip(sub.x, sub.y):
+            hits = np.flatnonzero((ds.x == row).all(axis=1))
+            assert hits.size and (ds.y[hits] == label).all()
+
+    def test_shape_checks_still_run(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset._trusted(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="one entry per row"):
+            Dataset._trusted(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
 
 
 class TestDatasetValidation:

@@ -4,8 +4,8 @@ import pytest
 from imdp.autodiff import _softmax_rows as softmax
 from imdp.latent import Codes, LatentSpec, sample_codes
 from imdp.nets import (CheckpointError, CriticQNet, GeneratorNet, NetConfig,
-                       build_critic, build_generator, critic_score,
-                       generate, load_checkpoint, q_posterior, save_checkpoint)
+                       build_critic, build_generator, critic_score, generate,
+                       load_checkpoint, param_shapes, q_posterior, save_checkpoint)
 from imdp.privacy import INF, PrivacySpec
 
 SPEC = LatentSpec(z_dim=62, categorical=(10,), continuous=((-1.0, 1.0),))
@@ -51,6 +51,13 @@ class TestBuild:
                 assert (arr == 0.0).all()
             else:
                 assert np.abs(arr).max() <= 0.05
+
+
+    def test_layers_state_the_initialized_shapes(self):
+        cfg = small_cfg(4)
+        for net in (build_generator(cfg), build_critic(cfg)):
+            got = {name: arr.shape for name, arr in net.store.params.items()}
+            assert list(got.items()) == list(param_shapes(net.layers()).items())
 
 
 class TestGenerate:
@@ -212,3 +219,32 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_generator(cfg), build_critic(cfg), spec)
         assert load_checkpoint(path).privacy == spec
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        cfg = small_cfg(15)
+        critic = build_critic(cfg)
+        critic.store.params["q.cat0.W"] = np.zeros((8, 4))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_generator(cfg), critic, self.privacy_spec())
+        with pytest.raises(CheckpointError, match="q.cat0.W"):
+            load_checkpoint(path)
+
+    def test_missing_head_rejected(self, tmp_path):
+        cfg = small_cfg(16)
+        critic = build_critic(cfg)
+        del critic.store.params["q.cont.b"]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_generator(cfg), critic, self.privacy_spec())
+        with pytest.raises(CheckpointError, match="names"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["gen.out.W", "gen.h0.W", "dis.h1.W"])
+    def test_rank_one_weight_rejected(self, tmp_path, name):
+        cfg = small_cfg(17)
+        gen, critic = build_generator(cfg), build_critic(cfg)
+        store = gen.store if name.startswith("gen.") else critic.store
+        store.params[name] = store.params[name].ravel()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, gen, critic, self.privacy_spec())
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
