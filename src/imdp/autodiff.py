@@ -5,18 +5,18 @@ Graphs are static: nodes are appended once, with concrete shapes
 as many times as needed with different bindings.  The operation set is
 the minimal closed set needed by the adversarial objectives and the
 code-recovery head: affine maps, pointwise nonlinearities, softmax
-cross-entropy, fixed-variance Gaussian log-likelihood, full reductions,
-and scalar arithmetic.
+cross-entropy, fixed-variance Gaussian log-likelihood, the mean, and
+scalar arithmetic.
 
 Every value is a 64-bit row-major numpy array.  Any non-finite entry
 produced by a public operation raises ``NonFiniteError`` instead of
-propagating silently.  ``forward`` checks the leaves (inputs, params,
-consts) and every op that can overflow: affine, the losses, the
-reductions, add, sub, scale and add_scalar.  It skips tanh, relu,
-leaky_relu and neg: from finite operands they can only give finite
-values, and their operands are leaves or outputs of checked or
-finite-preserving ops, so the first non-finite value in a graph always
-lands on a checked node.  The error names the same node either way.
+propagating silently.  ``forward`` checks the leaves (inputs and
+params) and every op that can overflow: affine, the losses, mean, add,
+sub, scale and add_scalar.  It skips tanh, relu, leaky_relu and neg:
+from finite operands they can only give finite values, and their
+operands are leaves or outputs of checked or finite-preserving ops, so
+the first non-finite value in a graph always lands on a checked node.
+The error names the same node either way.
 
 ``backward`` sends cotangents only along nodes that lie on a path from
 a wanted parameter to the loss, so no gradient is formed that no slot
@@ -88,14 +88,14 @@ class ParamStore:
 
     @classmethod
     def union(cls, *stores: "ParamStore") -> "ParamStore":
-        """A store sharing the member stores' parameter arrays (not copies)."""
+        """A store sharing the member stores' arrays and gradient slots (not copies)."""
         merged = cls()
         for store in stores:
             for name, arr in store.params.items():
                 if name in merged.params:
                     raise ValueError(f"parameter name collision: {name!r}")
                 merged.params[name] = arr
-                merged.grads[name] = np.zeros_like(arr)
+                merged.grads[name] = store.grads[name]
         return merged
 
 
@@ -104,9 +104,8 @@ class Node:
     op: str
     args: tuple[int, ...]
     shape: tuple[int, ...]
-    ref: str | None = None          # input/param name
-    value: np.ndarray | None = None  # const payload
-    k: float = 0.0                   # scalar operand for scale/add_scalar
+    ref: str | None = None  # input/param name
+    k: float = 0.0          # scalar operand for scale/add_scalar
 
 
 class Graph:
@@ -171,10 +170,6 @@ class Graph:
     def param(self, name: str, shape) -> int:
         return self._append(Node("param", (), tuple(shape), ref=name))
 
-    def const(self, value) -> int:
-        arr = as_tensor(value, where="const")
-        return self._append(Node("const", (), arr.shape, value=arr))
-
     # -- layers ---------------------------------------------------------
 
     def affine(self, x: int, w: int, b: int) -> int:
@@ -200,8 +195,8 @@ class Graph:
     # -- losses ---------------------------------------------------------
 
     def _check_target(self, t: int, op: str) -> None:
-        if self.nodes[t].op not in ("input", "const"):
-            raise GraphError(f"{op} targets must be input or const nodes")
+        if self.nodes[t].op != "input":
+            raise GraphError(f"{op} targets must be input nodes")
 
     def softmax_xent(self, logits: int, targets: int) -> int:
         """Mean over rows of cross-entropy between softmax(logits) and targets.
@@ -227,9 +222,6 @@ class Graph:
 
     def mean(self, x: int) -> int:
         return self._append(Node("mean", (x,), ()))
-
-    def sum(self, x: int) -> int:
-        return self._append(Node("sum", (x,), ()))
 
     def _binary(self, op: str, a: int, b: int) -> int:
         if self.shape(a) != self.shape(b):
@@ -295,8 +287,6 @@ def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> l
             v = store.params[nd.ref]
             if v.shape != nd.shape:
                 raise ShapeError(f"param {nd.ref!r}: expected {nd.shape}, got {v.shape}")
-        elif nd.op == "const":
-            v = nd.value
         elif nd.op == "affine":
             v = acts[a[0]] @ acts[a[1]] + acts[a[2]]
         elif nd.op == "tanh":
@@ -318,8 +308,6 @@ def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> l
             v = np.asarray((-0.5 * _LOG_2PI * ncols - 0.5 * (d * d).sum(axis=1)).mean())
         elif nd.op == "mean":
             v = np.asarray(acts[a[0]].mean())
-        elif nd.op == "sum":
-            v = np.asarray(acts[a[0]].sum())
         elif nd.op == "add":
             v = acts[a[0]] + acts[a[1]]
         elif nd.op == "sub":
@@ -416,8 +404,6 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
             acc(a[0], g * (t - mu) / mu.shape[0])
         elif nd.op == "mean":
             acc(a[0], np.full(graph.shape(a[0]), float(g) / acts[a[0]].size))
-        elif nd.op == "sum":
-            acc(a[0], np.full(graph.shape(a[0]), float(g)))
         elif nd.op == "add":
             if needed[a[0]]:
                 acc(a[0], g)

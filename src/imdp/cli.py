@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, privacy
+from . import __version__
 from .artifacts import write_atomic
 from .data import Dataset, load_idx_images, load_idx_labels, synth_mixture
 from .evaluation import code_sweep, dataset_sha256, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
 from .privacy import AccountantState, accumulate, calibrate_sigma, spent_epsilon
-from .train import TrainConfig, train
+from .train import TrainConfig, build_trainer, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -126,34 +126,8 @@ class ResolvedConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
-    def latent_spec(self) -> LatentSpec:
-        cats = _to_int_tuple("latent.cat", self.get("latent.cat"))
-        conts = []
-        raw = self.get("latent.cont").strip()
-        if raw:
-            for part in raw.split(","):
-                lo, sep, hi = part.partition(":")
-                if not sep:
-                    raise ConfigError(f"latent.cont: expected low:high, got {part!r}")
-                conts.append((_to_float("latent.cont", lo), _to_float("latent.cont", hi)))
-        try:
-            return LatentSpec(z_dim=_to_int("latent.z_dim", self.get("latent.z_dim")),
-                              categorical=cats, continuous=tuple(conts))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def train_config(self) -> TrainConfig:
-        eps_raw = self.get("privacy.epsilon")
-        epsilon = privacy.INF if eps_raw in ("inf", "INF", "Infinity") else _to_float(
-            "privacy.epsilon", eps_raw)
-        delta = _to_float("privacy.delta", self.get("privacy.delta"))
-        if not 0.0 < delta < 1.0:
-            raise ConfigError("privacy.delta must lie in (0, 1)")
-        if epsilon != privacy.INF and epsilon <= 0.0:
-            raise ConfigError("privacy.epsilon must be positive or inf")
-        clip = _to_float("privacy.clip", self.get("privacy.clip"))
-        if clip <= 0.0:
-            raise ConfigError("privacy.clip must be positive")
+        # each range rule is stated once, by the code that owns the value
         try:
             return TrainConfig(
                 n_g=_to_int("train.ng", self.get("train.ng")),
@@ -163,10 +137,13 @@ class ResolvedConfig:
                 lr_gen=_to_float("train.lr_gen", self.get("train.lr_gen")),
                 lambda_cat=_to_float("train.lambda_cat", self.get("train.lambda_cat")),
                 lambda_cont=_to_float("train.lambda_cont", self.get("train.lambda_cont")),
-                epsilon=epsilon, delta=delta, c_p=clip,
+                epsilon=_to_float("privacy.epsilon", self.get("privacy.epsilon")),
+                delta=_to_float("privacy.delta", self.get("privacy.delta")),
+                c_p=_to_float("privacy.clip", self.get("privacy.clip")),
                 seed=_to_int("train.seed", self.get("train.seed")),
                 dataset=self.get("train.dataset"),
-                latent=self.latent_spec(),
+                latent=LatentSpec.parse(self.get("latent.z_dim"), self.get("latent.cat"),
+                                        self.get("latent.cont")),
                 gen_hidden=_to_int_tuple("net.gen_hidden", self.get("net.gen_hidden")),
                 trunk_hidden=_to_int_tuple("net.trunk_hidden", self.get("net.trunk_hidden")),
             )
@@ -184,7 +161,7 @@ def parse_config(path: str | None, overrides: dict[str, str] | None = None) -> R
         try:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         file_kv = _parse_kv_text(text, path)
         unknown = set(file_kv) - set(_DEFAULTS)
@@ -197,6 +174,7 @@ def parse_config(path: str | None, overrides: dict[str, str] | None = None) -> R
         merged[key] = value
     resolved = ResolvedConfig(values=tuple(sorted(merged.items())))
     resolved.train_config()  # validate eagerly
+    resolved.checkpoint_every()
     return resolved
 
 
@@ -266,11 +244,11 @@ def cmd_train(args) -> int:
     resolved = parse_config(args.config, _flag_overrides(args))
     cfg = resolved.train_config()
     data = load_dataset(cfg.dataset)
+    build_trainer(cfg, data)  # rejects the nets/data combination before any file exists
+    every = resolved.checkpoint_every()
     run_dir = _make_run_dir(_out_root(args.out), resolved.config_hash())
     _write(os.path.join(run_dir, "config.resolved"), resolved.canonical_text())
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-
-    every = resolved.checkpoint_every()
 
     def hook(i, trainer):
         if every and i % every == 0:
@@ -327,7 +305,7 @@ def cmd_evaluate(args) -> int:
         eps_raw, sep, path = item.partition("=")
         if not sep:
             raise ConfigError(f"--model expects EPS=PATH, got {item!r}")
-        eps = privacy.INF if eps_raw == "inf" else _to_float("model epsilon", eps_raw)
+        eps = _to_float("model epsilon", eps_raw)
         bundle = load_checkpoint(path)
         models[eps] = (bundle.gen, bundle.critic)
     if not models:
@@ -373,20 +351,14 @@ def cmd_accountant(args) -> int:
         sigma = _to_float("sigma", args.sigma)
         if sigma <= 0.0:
             raise ConfigError("sigma must be positive")
-        print(f"sigma = {sigma:.6g}")
+    elif args.epsilon is None:
+        raise ConfigError("accountant needs --sigma or --epsilon")
     else:
-        if args.epsilon is None:
-            raise ConfigError("accountant needs --sigma or --epsilon")
-        eps_raw = args.epsilon
-        epsilon = privacy.INF if eps_raw == "inf" else _to_float("epsilon", eps_raw)
-        try:
-            sigma = calibrate_sigma(epsilon, delta, q, n_d)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        print(f"sigma = {sigma:.6g}")
-        if sigma == 0.0:
-            print("non-private configuration; nothing to account")
-            return EXIT_OK
+        sigma = calibrate_sigma(_to_float("epsilon", args.epsilon), delta, q, n_d)
+    print(f"sigma = {sigma:.6g}")
+    if sigma == 0.0:
+        print("non-private configuration; nothing to account")
+        return EXIT_OK
     state = AccountantState.create(q, sigma)
     state = accumulate(state, steps)
     print(f"steps = {state.steps}")

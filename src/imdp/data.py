@@ -14,7 +14,8 @@ same order as ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0``, so the
 features are byte-identical to that expression, and peak memory is the
 matrix plus one block.  Every byte maps to a finite value in [-1, 1], so
 the decoded matrix skips ``Dataset``'s finiteness and range scans, as do
-row selections and label attachments of an already validated ``Dataset``.
+the evaluate command's row selections and label attachment of an already
+validated ``Dataset``.
 """
 from __future__ import annotations
 
@@ -141,22 +142,6 @@ def bytes_from_features(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint((np.asarray(x) + 1.0) / 2.0 * 255.0), 0, 255).astype(np.uint8)
 
 
-def downsample_images(x: np.ndarray, side: int, out_side: int) -> np.ndarray:
-    """Average-pool square images to a smaller side, center-cropping first
-    when the sides do not divide evenly (e.g. 28 -> 8 crops to 24)."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != side * side:
-        raise ValueError(f"expected flattened {side}x{side} images")
-    if out_side < 1 or out_side > side:
-        raise ValueError("out_side must lie in [1, side]")
-    factor = side // out_side
-    crop = side - out_side * factor
-    lo = crop // 2
-    imgs = x.reshape(-1, side, side)[:, lo:lo + out_side * factor, lo:lo + out_side * factor]
-    pooled = imgs.reshape(-1, out_side, factor, out_side, factor).mean(axis=(2, 4))
-    return pooled.reshape(-1, out_side * out_side)
-
-
 def synth_mixture(k: int, radius: float, std: float, n: int, seed: int) -> Dataset:
     """Ring of k equal-weight Gaussians, stratified n/k points per component.
 
@@ -182,24 +167,6 @@ def synth_mixture(k: int, radius: float, std: float, n: int, seed: int) -> Datas
     x = np.clip(np.concatenate(xs) * scale, -1.0, 1.0)
     return Dataset(x=x, y=np.concatenate(ys),
                    source=f"mixture:k={k},radius={radius},std={std},n={n},seed={seed}")
-
-
-def subset_by_label(ds: Dataset, labels, per_class: int, seed: int) -> Dataset:
-    """Stratified subset with per_class rows per requested label, shuffled."""
-    if ds.y is None:
-        raise ValueError("dataset has no labels")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    rng = np.random.default_rng(seed)
-    picks = []
-    for label in sorted(set(int(l) for l in labels)):
-        rows = np.flatnonzero(ds.y == label)
-        if rows.size < per_class:
-            raise ValueError(f"label {label} has {rows.size} rows, need {per_class}")
-        picks.append(rng.choice(rows, size=per_class, replace=False))
-    order = np.concatenate(picks)
-    rng.shuffle(order)
-    return Dataset._trusted(ds.x[order], ds.y[order], source=f"{ds.source}|subset")
 
 
 def batch_iter(ds: Dataset, m: int, seed: int):

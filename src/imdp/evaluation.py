@@ -16,7 +16,7 @@ from .artifacts import write_atomic
 from .autodiff import Graph, ParamStore, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
 from .latent import Codes, LatentSpec
-from .nets import CriticQNet, GeneratorNet, generate, q_posterior
+from .nets import CriticQNet, GeneratorNet, _affine, _init_layers, generate, q_posterior
 from .train import MetricsLog, TrainConfig, train
 
 
@@ -105,26 +105,22 @@ def code_sweep(gen: GeneratorNet, spec: LatentSpec, seed: int,
 class Classifier:
     """Small feed-forward binary classifier trained by plain SGD."""
 
-    def __init__(self, dim: int, labels: tuple[int, int], hidden: int = 64,
-                 seed: int = 0):
+    HIDDEN = 64
+    LR = 1e-3
+    BATCH = 64
+
+    def __init__(self, dim: int, labels: tuple[int, int], seed: int = 0):
         self.labels = labels
+        self.layers = {"c.h": (dim, self.HIDDEN), "c.out": (self.HIDDEN, 2)}
         self.store = ParamStore()
-        rng = np.random.default_rng(seed)
-        self.store.add("c.h.W", rng.uniform(-0.05, 0.05, size=(dim, hidden)))
-        self.store.add("c.h.b", np.zeros(hidden))
-        self.store.add("c.out.W", rng.uniform(-0.05, 0.05, size=(hidden, 2)))
-        self.store.add("c.out.b", np.zeros(2))
-        self.dim = dim
-        self.hidden = hidden
+        _init_layers(self.store, self.layers, np.random.default_rng(seed))
 
     @graph_per_batch
     def _graph(self, batch: int):
         g = Graph()
-        x = g.input("x", (batch, self.dim))
-        h = g.relu(g.affine(x, g.param("c.h.W", (self.dim, self.hidden)),
-                            g.param("c.h.b", (self.hidden,))))
-        logits = g.affine(h, g.param("c.out.W", (self.hidden, 2)),
-                          g.param("c.out.b", (2,)))
+        x = g.input("x", (batch, self.layers["c.h"][0]))
+        h = g.relu(_affine(g, x, "c.h", *self.layers["c.h"]))
+        logits = _affine(g, h, "c.out", *self.layers["c.out"])
         t = g.input("t", (batch, 2))
         return g, logits, g.softmax_xent(logits, t)
 
@@ -143,8 +139,7 @@ class Classifier:
         return float((self.predict(ds.x) == ds.y).mean())
 
 
-def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0,
-                            lr: float = 1e-3, batch: int = 64) -> Classifier:
+def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Classifier:
     """Cross-entropy training over shuffled epochs; deterministic by seed."""
     if ds.y is None:
         raise ValueError("dataset has no labels")
@@ -157,13 +152,13 @@ def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(ds.n)
-        for lo in range(0, ds.n - batch + 1, batch):
-            rows = order[lo:lo + batch]
-            g, _, loss = clf._graph(batch)
+        for lo in range(0, ds.n - clf.BATCH + 1, clf.BATCH):
+            rows = order[lo:lo + clf.BATCH]
+            g, _, loss = clf._graph(clf.BATCH)
             acts = forward(g, clf.store, {"x": ds.x[rows], "t": onehot[rows]})
             grads = backward(g, clf.store, acts, loss)
             for name in clf.store.params:
-                clf.store.params[name] -= lr * grads[name]
+                clf.store.params[name] -= clf.LR * grads[name]
     return clf
 
 

@@ -58,16 +58,29 @@ class LatentSpec:
         return f"z_dim={self.z_dim}\ncategorical={cats}\ncontinuous={conts}"
 
     @classmethod
+    def parse(cls, z_dim: str, categorical: str, continuous: str) -> "LatentSpec":
+        """The one parser of the fields' text as ``to_text`` writes them:
+        ``62``, ``10,4`` and ``-1.0:1.0,0.0:2.0``; either list may be empty."""
+        def items(text: str) -> list[str]:
+            return text.split(",") if text.strip() else []
+
+        conts = []
+        for item in items(continuous):
+            lo, sep, hi = item.partition(":")
+            if not sep:
+                raise ValueError(f"continuous code: expected low:high, got {item!r}")
+            conts.append((float(lo), float(hi)))
+        return cls(z_dim=int(z_dim), categorical=tuple(int(k) for k in items(categorical)),
+                   continuous=tuple(conts))
+
+    @classmethod
     def from_text(cls, text: str) -> "LatentSpec":
         fields = {}
         for line in text.strip().splitlines():
             key, _, val = line.partition("=")
             fields[key.strip()] = val.strip()
-        cats = tuple(int(t) for t in fields.get("categorical", "").split(",") if t)
-        conts = tuple(
-            (float(t.split(":")[0]), float(t.split(":")[1]))
-            for t in fields.get("continuous", "").split(",") if t)
-        return cls(z_dim=int(fields["z_dim"]), categorical=cats, continuous=conts)
+        return cls.parse(fields["z_dim"], fields.get("categorical", ""),
+                         fields.get("continuous", ""))
 
 
 @dataclass

@@ -8,6 +8,7 @@ affine stacks sized to train in minutes on a desk machine.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -76,9 +77,9 @@ def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
 class GeneratorNet:
     """Noise-plus-codes to data space; output bounded in [-1, 1] by tanh."""
 
-    def __init__(self, cfg: NetConfig, store: ParamStore | None = None):
+    def __init__(self, cfg: NetConfig):
         self.cfg = cfg
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore()
 
     @property
     def input_width(self) -> int:
@@ -142,9 +143,9 @@ class QPosterior:
 class CriticQNet:
     """Scalar critic and code-recovery head on one shared trunk."""
 
-    def __init__(self, cfg: NetConfig, store: ParamStore | None = None):
+    def __init__(self, cfg: NetConfig):
         self.cfg = cfg
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore()
 
     @property
     def data_dim(self) -> int:
@@ -309,9 +310,21 @@ def _widths_from_chain(params: dict[str, np.ndarray], prefix: str) -> list[int]:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    """Rebuild the nets from a checkpoint; rejects foreign or corrupt files."""
+    """Rebuild the nets from a checkpoint.  Whatever the parsing rejects in
+    the file's bytes (a missing spec key, a non-UTF-8 name, a non-finite
+    weight, a zero width) is raised as ``CheckpointError`` and nothing else."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
+        blob = f.read()
+    try:
+        return _parse_checkpoint(blob)
+    except CheckpointError:
+        raise
+    except (KeyError, ValueError, ArithmeticError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc!r}") from exc
+
+
+def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
+    r = _Reader(blob)
     magic, version, count = r.unpack("<4sII")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
@@ -323,7 +336,7 @@ def load_checkpoint(path) -> CheckpointBundle:
         name = r.take(nlen).decode("utf-8")
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
-        size = int(np.prod(shape)) if rank else 1
+        size = math.prod(shape)
         if size > len(r.data):
             raise CheckpointError("shape table inconsistent with payload length")
         payload = r.take(8 * size)

@@ -23,18 +23,30 @@ INF = float("inf")
 LAMBDA_MAX = 32
 
 
-def calibrate_sigma(epsilon: float, delta: float, q: float, n_d: int) -> float:
-    """Noise scale for a target privacy level; infinity means no noise."""
+def check_level(epsilon: float, delta: float) -> None:
+    """The range rules of a privacy level: epsilon positive or infinite,
+    delta in (0, 1).  Every consumer of a level calls this one check."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not (epsilon == INF or epsilon > 0.0):
+        raise ValueError("epsilon must be positive or infinite")
+
+
+def check_clip(c_p: float) -> None:
+    """The range rule of the weight-clipping bound: positive."""
+    if not c_p > 0.0:
+        raise ValueError("c_p must be positive")
+
+
+def calibrate_sigma(epsilon: float, delta: float, q: float, n_d: int) -> float:
+    """Noise scale for a target privacy level; infinity means no noise."""
+    check_level(epsilon, delta)
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     if n_d < 1:
         raise ValueError("n_d must be >= 1")
     if epsilon == INF:
         return 0.0
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive or infinite")
     return 2.0 * q * math.sqrt(n_d * math.log(1.0 / delta)) / epsilon
 
 
@@ -50,25 +62,16 @@ class PrivacySpec:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not self.c_p > 0.0:
-            raise ValueError("c_p must be positive")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must lie in (0, 1]")
-        if self.n_d < 1:
-            raise ValueError("n_d must be >= 1")
+        check_clip(self.c_p)
+        # calibrate_sigma checks epsilon, delta, q and n_d
+        want = calibrate_sigma(self.epsilon, self.delta, self.q, self.n_d)
         if self.epsilon == INF:
             if self.sigma != 0.0:
                 raise ValueError("epsilon=inf requires sigma=0")
-        else:
-            if not self.epsilon > 0.0:
-                raise ValueError("epsilon must be positive or infinite")
-            if self.sigma <= 0.0:
-                raise ValueError("finite epsilon requires sigma > 0")
-            want = calibrate_sigma(self.epsilon, self.delta, self.q, self.n_d)
-            if abs(self.sigma - want) > 1e-9 * max(1.0, want):
-                raise ValueError("sigma inconsistent with calibration formula")
+        elif not self.sigma > 0.0:
+            raise ValueError("finite epsilon requires sigma > 0")
+        elif abs(self.sigma - want) > 1e-9 * max(1.0, want):
+            raise ValueError("sigma inconsistent with calibration formula")
 
     @classmethod
     def calibrated(cls, epsilon: float, delta: float, c_p: float, q: float,
@@ -98,8 +101,7 @@ class PrivacySpec:
 
 def clip_weights(store: ParamStore, c_p: float, names=None) -> None:
     """Project every parameter entry into [-c_p, c_p], in place."""
-    if not c_p > 0.0:
-        raise ValueError("c_p must be positive")
+    check_clip(c_p)
     for name in (store.names() if names is None else names):
         arr = store.params[name]
         np.clip(arr, -c_p, c_p, out=arr)
@@ -166,9 +168,9 @@ class AccountantState:
     step_moments: np.ndarray  # alpha(lam) of a single step, lam = 1..lambda_max
 
     @classmethod
-    def create(cls, q: float, sigma: float, lambda_max: int = LAMBDA_MAX) -> "AccountantState":
+    def create(cls, q: float, sigma: float) -> "AccountantState":
         moments = np.array([step_log_moment(q, sigma, lam)
-                            for lam in range(1, lambda_max + 1)])
+                            for lam in range(1, LAMBDA_MAX + 1)])
         return cls(q=q, sigma=sigma, steps=0, step_moments=moments)
 
     @property
@@ -196,7 +198,5 @@ def spent_epsilon(state: AccountantState, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if state.lambda_max < 1:
-        raise ValueError("empty accountant state")
     lams = np.arange(1, state.lambda_max + 1)
     return float(np.min((state.log_moments + math.log(1.0 / delta)) / lams))

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("mutual-information weights must be >= 0")
         if self.lr_critic <= 0.0 or self.lr_gen <= 0.0:
             raise ValueError("learning rates must be positive")
+        privacy.check_level(self.epsilon, self.delta)
+        privacy.check_clip(self.c_p)
 
     def resolve_privacy(self, dataset_size: int) -> PrivacySpec:
         if self.batch > dataset_size:
@@ -106,10 +108,11 @@ class MetricsLog:
 class RMSProp:
     """Root-mean-square gradient scaling without momentum."""
 
-    def __init__(self, lr: float, decay: float = 0.99, eps: float = 1e-8):
+    DECAY = 0.99
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.decay = decay
-        self.eps = eps
         self.cache: dict[str, np.ndarray] = {}
 
     def update(self, store: ParamStore, grads: dict[str, np.ndarray], names) -> None:
@@ -118,9 +121,9 @@ class RMSProp:
             c = self.cache.get(name)
             if c is None:
                 c = self.cache[name] = np.zeros_like(g)
-            c *= self.decay
-            c += (1.0 - self.decay) * g * g
-            store.params[name] -= self.lr * g / (np.sqrt(c) + self.eps)
+            c *= self.DECAY
+            c += (1.0 - self.DECAY) * g * g
+            store.params[name] -= self.lr * g / (np.sqrt(c) + self.EPS)
 
 
 def critic_loss(g: Graph, real_scores: int, fake_scores: int) -> int:
@@ -260,8 +263,7 @@ class Trainer:
         # the stored arrays.  The second pass leaves the gen.* slots alone.
         backward(sg.graph, self.store, acts, sg.loss, wrt=gen_names)
         backward(sg.graph, self.store, acts, sg.mi_loss, wrt=mi_names)
-        self.opt_gen.update(self.store, self.store.grads, gen_names)
-        self.opt_gen.update(self.store, self.store.grads, mi_names)
+        self.opt_gen.update(self.store, self.store.grads, gen_names + mi_names)
         privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
         return loss_value, l_i
 

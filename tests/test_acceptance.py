@@ -65,7 +65,8 @@ def _random_graph(index: int):
             store.add(f"b{i}", rng.normal(0.0, 0.2, size=widths[i + 1]))
             h = getattr(g, act)(g.affine(h, g.param(f"w{i}", (widths[i], widths[i + 1])),
                                          g.param(f"b{i}", (widths[i + 1],))))
-        loss = g.add_scalar(g.scale(g.add(g.mean(h), g.sum(h)), 0.7), 1.3)
+        total = g.scale(g.mean(h), float(batch * widths[-1]))  # the sum of h
+        loss = g.add_scalar(g.scale(g.add(g.mean(h), total), 0.7), 1.3)
         loss = g.sub(loss, g.neg(g.mean(x)))
         inputs = {"x": rng.normal(size=(batch, widths[0]))}
     elif kind == 3:
@@ -79,9 +80,10 @@ def _random_graph(index: int):
         means = g.affine(x, g.param("wm", (d, n_cont)), g.param("bm", (n_cont,)))
         onehot = np.zeros((batch, k))
         onehot[np.arange(batch), rng.integers(0, k, batch)] = 1.0
-        loss = g.sub(g.softmax_xent(logits, g.const(onehot)),
-                     g.gaussian_loglik(means, g.const(rng.normal(size=(batch, n_cont)))))
-        inputs = {"x": rng.normal(size=(batch, d))}
+        loss = g.sub(g.softmax_xent(logits, g.input("t", (batch, k))),
+                     g.gaussian_loglik(means, g.input("u", (batch, n_cont))))
+        u = rng.normal(size=(batch, n_cont))
+        inputs = {"x": rng.normal(size=(batch, d)), "t": onehot, "u": u}
     else:
         spec = LatentSpec(z_dim=3, categorical=(3,), continuous=((-1.0, 1.0),))
         cfg = NetConfig(latent=spec, data_dim=2, gen_hidden=(5,),
@@ -98,10 +100,12 @@ def _random_graph(index: int):
         cat_nodes, cont_node = critic.append_q_heads(g, trunk)
         onehot = np.zeros((batch, 3))
         onehot[np.arange(batch), rng.integers(0, 3, batch)] = 1.0
-        mi = mi_lower_bound(g, spec, cat_nodes, [g.const(onehot)], cont_node,
-                            g.const(rng.uniform(-1, 1, size=(batch, 1))))
+        mi = mi_lower_bound(g, spec, cat_nodes, [g.input("cat0", (batch, 3))], cont_node,
+                            g.input("cont", (batch, 1)))
         loss = generator_loss(g, score, mi, lambda_cat=1.0, lambda_cont=0.1)
-        inputs = {"gen_in": rng.normal(size=(batch, gen.input_width))}
+        cont = rng.uniform(-1, 1, size=(batch, 1))
+        inputs = {"gen_in": rng.normal(size=(batch, gen.input_width)),
+                  "cat0": onehot, "cont": cont}
     return g, store, inputs, loss
 
 

@@ -89,12 +89,21 @@ class TestForward:
     def test_softmax_xent_zero_logits_is_log_k(self):
         g = Graph()
         store = ParamStore()
-        logits = g.const(np.zeros((4, 10)))
+        logits = g.input("logits", (4, 10))
         onehot = np.zeros((4, 10))
         onehot[np.arange(4), [0, 3, 7, 9]] = 1.0
-        t = g.const(onehot)
+        t = g.input("t", (4, 10))
         loss = g.softmax_xent(logits, t)
-        assert float(forward(g, store, {})[loss]) == pytest.approx(np.log(10), abs=0)
+        acts = forward(g, store, {"logits": np.zeros((4, 10)), "t": onehot})
+        assert float(acts[loss]) == pytest.approx(np.log(10), abs=0)
+
+    def test_loss_targets_must_be_inputs(self):
+        g = Graph()
+        logits = g.input("logits", (2, 3))
+        with pytest.raises(GraphError, match="input nodes"):
+            g.softmax_xent(logits, g.param("t", (2, 3)))
+        with pytest.raises(GraphError, match="input nodes"):
+            g.gaussian_loglik(logits, g.tanh(logits))
 
 
 class TestBackward:
@@ -106,7 +115,7 @@ class TestBackward:
         x_val = np.array([[1.0, -2.0, 3.0]])
         x = g.input("x", (1, 3))
         out = g.affine(x, g.param("w", (3, 1)), g.param("b", (1,)))
-        loss = g.sum(out)
+        loss = g.mean(out)  # one entry: the mean is the entry
         acts = forward(g, store, {"x": x_val})
         grads = backward(g, store, acts, loss)
         np.testing.assert_array_equal(grads["w"], x_val.T)
@@ -120,7 +129,7 @@ class TestBackward:
         x = g.input("x", (2, 2))
         out = g.affine(x, g.param("w", (2, 2)), g.param("b", (2,)))
         store.add("b", np.zeros(2))
-        loss = g.sum(out)
+        loss = g.mean(out)
         acts = forward(g, store, {"x": np.ones((2, 2))})
         grads = backward(g, store, acts, loss)
         assert (grads["dead"] == 0.0).all()
@@ -149,7 +158,7 @@ class TestBackward:
     def test_backward_of_sum_equals_sum_of_backwards(self):
         g, store, _, out = affine_net([3, 5, 2], seed=7)
         l1 = g.mean(g.tanh(out))
-        l2 = g.sum(g.relu(out))
+        l2 = g.mean(g.relu(out))
         total = g.add(l1, l2)
         x = np.random.default_rng(8).normal(size=(4, 3))
         acts = forward(g, store, {"x": x})
@@ -161,7 +170,7 @@ class TestBackward:
 
 
 def branched_net(seed=0, batch=5):
-    """Two branches over one input, a param used twice, a const, add and sub."""
+    """Two branches over one input, a param used twice, a second input, add and sub."""
     rng = np.random.default_rng(seed)
     g = Graph()
     store = ParamStore()
@@ -172,11 +181,12 @@ def branched_net(seed=0, batch=5):
     x = g.input("x", (batch, 3))
     ha = g.tanh(g.affine(x, p["a.W"], p["a.b"]))
     hb = g.leaky_relu(g.affine(x, p["b.W"], p["b.b"]))
-    h = g.sub(g.add(ha, hb), g.const(rng.normal(size=(batch, 4))))
+    h = g.sub(g.add(ha, hb), g.input("c", (batch, 4)))
     out = g.affine(g.relu(h), p["h.W"], p["h.b"])
     again = g.affine(ha, g.param("h.W", (4, 2)), p["h.b"])
-    loss = g.add(g.mean(out), g.scale(g.sum(g.neg(again)), 0.5))
-    return g, store, {"x": rng.normal(size=(batch, 3))}, loss
+    loss = g.add(g.mean(out), g.scale(g.mean(g.neg(again)), 0.5))
+    c = rng.normal(size=(batch, 4))
+    return g, store, {"x": rng.normal(size=(batch, 3)), "c": c}, loss
 
 
 class TestPrunedBackward:
@@ -221,13 +231,12 @@ OP_BUILDERS = {
     "tanh": lambda g, x: g.mean(g.tanh(x)),
     "relu": lambda g, x: g.mean(g.relu(x)),
     "leaky_relu": lambda g, x: g.mean(g.leaky_relu(x)),
-    "sum": lambda g, x: g.sum(x),
     "mean": lambda g, x: g.mean(x),
     "scale": lambda g, x: g.scale(g.mean(x), -2.5),
-    "add_scalar": lambda g, x: g.add_scalar(g.sum(x), 3.0),
+    "add_scalar": lambda g, x: g.add_scalar(g.mean(x), 3.0),
     "neg": lambda g, x: g.neg(g.mean(x)),
-    "add": lambda g, x: g.add(g.mean(x), g.sum(x)),
-    "sub": lambda g, x: g.sub(g.mean(x), g.sum(x)),
+    "add": lambda g, x: g.add(g.mean(x), g.mean(g.tanh(x))),
+    "sub": lambda g, x: g.sub(g.mean(x), g.mean(g.tanh(x))),
 }
 
 
@@ -237,14 +246,14 @@ class TestGradCheck:
         store = ParamStore()
         store.add("w", np.array([[0.7, -1.2]]))
         w = g.param("w", (1, 2))
-        loss = g.sum(g.tanh(w))  # smooth scalar function of parameters
+        loss = g.mean(g.tanh(w))  # smooth scalar function of parameters
         assert grad_check(g, store, {}, loss, h=1e-5) < 1e-8
 
     def test_linear_loss_near_machine_epsilon(self):
         g = Graph()
         store = ParamStore()
         store.add("w", np.array([[2.0, -3.0, 0.5]]))
-        loss = g.sum(g.scale(g.param("w", (1, 3)), 1.75))
+        loss = g.mean(g.scale(g.param("w", (1, 3)), 1.75))
         assert grad_check(g, store, {}, loss, h=1e-5) < 1e-10
 
     def test_deep_tanh_net(self):
@@ -278,12 +287,12 @@ class TestGradCheck:
         logits = g.affine(x, g.param("w", (3, 5)), g.param("b", (5,)))
         onehot = np.zeros((6, 5))
         onehot[np.arange(6), rng.integers(0, 5, 6)] = 1.0
-        xent = g.softmax_xent(logits, g.const(onehot))
+        xent = g.softmax_xent(logits, g.input("t", (6, 5)))
         means = g.affine(x, g.param("wm", (3, 2)), g.param("bm", (2,)))
-        gll = g.gaussian_loglik(means, g.const(rng.normal(size=(6, 2))))
+        gll = g.gaussian_loglik(means, g.input("u", (6, 2)))
         loss = g.sub(xent, gll)
-        xv = rng.normal(size=(6, 3))
-        assert grad_check(g, store, {"x": xv}, loss, h=1e-5) < 1e-6
+        inputs = {"t": onehot, "u": rng.normal(size=(6, 2)), "x": rng.normal(size=(6, 3))}
+        assert grad_check(g, store, inputs, loss, h=1e-5) < 1e-6
 
 
 class TestParamStore:
@@ -307,6 +316,13 @@ class TestParamStore:
         u = ParamStore.union(a, b)
         u.params["x"][0] = 7.0
         assert a.params["x"][0] == 7.0
+
+    def test_union_shares_gradient_slots(self):
+        a, b = ParamStore(), ParamStore()
+        a.add("x", np.zeros(2))
+        b.add("y", np.ones(3))
+        u = ParamStore.union(a, b)
+        assert u.grads["x"] is a.grads["x"] and u.grads["y"] is b.grads["y"]
 
     def test_union_rejects_collisions(self):
         a, b = ParamStore(), ParamStore()

@@ -4,11 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imdp.cli import (ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
+from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                       load_dataset, main, parse_config)
 from imdp.latent import LatentSpec
 from imdp.privacy import INF, calibrate_sigma
+
+INF_SPELLINGS = ["inf", "INF", "Infinity"]
 
 
 class TestParseConfig:
@@ -68,6 +72,73 @@ class TestParseConfig:
     def test_delta_bounds_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, {"privacy.delta": "1.5"})
+
+    @pytest.mark.parametrize("text", INF_SPELLINGS)
+    def test_every_float_spelling_of_inf_gives_zero_sigma(self, text):
+        cfg = parse_config(None, {"privacy.epsilon": text}).train_config()
+        assert cfg.epsilon == INF and cfg.resolve_privacy(60000).sigma == 0.0
+
+    @pytest.mark.parametrize("key,value", [("privacy.epsilon", "nan"), ("privacy.clip", "nan"),
+                                           ("privacy.clip", "0"), ("privacy.delta", "0")])
+    def test_privacy_range_rules_apply_at_parse_time(self, key, value):
+        with pytest.raises(ConfigError):
+            parse_config(None, {key: value})
+
+    @pytest.mark.parametrize("spec", [
+        LatentSpec(z_dim=8, categorical=(8, 3), continuous=((-1.0, 1.0), (0.0, 2.5))),
+        LatentSpec(z_dim=3, categorical=(4,), continuous=()),
+        LatentSpec(z_dim=3, categorical=(), continuous=((-2.0, 0.5),)),
+        LatentSpec(z_dim=5, categorical=(), continuous=()),
+    ])
+    def test_latent_spec_round_trips_through_config_text(self, spec):
+        fields = dict(line.split("=", 1) for line in spec.to_text().splitlines())
+        resolved = parse_config(None, {"latent.z_dim": fields["z_dim"],
+                                       "latent.cat": fields["categorical"],
+                                       "latent.cont": fields["continuous"]})
+        assert resolved.train_config().latent == spec
+
+    def test_malformed_continuous_code_rejected(self):
+        with pytest.raises(ConfigError, match="low:high"):
+            parse_config(None, {"latent.cont": "5"})
+
+    def test_non_utf8_config_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"train.seed=\xff\n")
+        with pytest.raises(ConfigError):
+            parse_config(str(path))
+
+    def test_malformed_checkpoint_every_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config(None, {"train.checkpoint_every": "often"})
+
+
+# Deterministic examples and no example database written to the tree.
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(_DEFAULTS)), st.text(max_size=12)).map("=".join),
+    st.text(max_size=24))
+
+
+class TestParseConfigProperties:
+    @PROPERTY
+    @given(blob=st.binary(max_size=200))
+    def test_random_config_bytes_raise_only_config_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_bytes(blob)
+        try:
+            parse_config(str(path))
+        except ConfigError:
+            pass
+
+    @PROPERTY
+    @given(lines=st.lists(CONFIG_LINE, max_size=6))
+    def test_random_key_value_text_raises_only_config_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        try:
+            parse_config(str(path))
+        except ConfigError:
+            pass
 
 
 class TestLoadDataset:
@@ -153,6 +224,18 @@ class TestCmdTrain:
         assert main(["train", "--config", cfg]) == EXIT_OK
         assert (tmp_path / "envout").exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"net.gen_hidden": "0"},
+        {"latent.cat": "", "latent.cont": ""},
+        {"train.batch": "500"},
+    ], ids=["zero-width", "no-codes", "batch-over-rows"])
+    def test_rejected_run_leaves_the_out_root_empty(self, tmp_path, extra):
+        cfg = fast_config_file(tmp_path, **extra)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_every(self, tmp_path):
         cfg = fast_config_file(tmp_path, **{"train.ng": "4",
                                             "train.checkpoint_every": "2"})
@@ -196,6 +279,19 @@ class TestCmdEvaluate:
         assert csv.startswith("epsilon,train_source,accuracy")
         assert "inf," in csv
 
+    @pytest.mark.parametrize("text", INF_SPELLINGS)
+    def test_every_float_spelling_of_inf_is_the_nonprivate_model(self, tmp_path, capsys,
+                                                                 text):
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1"})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        ckpt = next(out.iterdir()) / "checkpoint.ckpt"
+        code = main(["evaluate", "--model", f"{text}={ckpt}", "--pair", "0,1",
+                     "--dataset", "mixture:k=4,n=200,std=0.1,seed=2",
+                     "--per-class", "8", "--epochs", "1", "--out", str(tmp_path / "eval")])
+        assert code == EXIT_OK
+        assert (tmp_path / "eval" / "utility.csv").read_text().splitlines()[1].startswith("inf,")
+
     def test_bad_model_flag_rejected(self, capsys):
         code = main(["evaluate", "--model", "nope", "--pair", "0,1",
                      "--dataset", "mixture:k=4,n=64,std=0.1,seed=2"])
@@ -223,6 +319,17 @@ class TestCmdAccountant:
         code = main(["accountant", "--epsilon", "inf", "--q", "0.1"])
         assert code == EXIT_OK
         assert "non-private" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", INF_SPELLINGS)
+    def test_every_float_spelling_of_inf_gives_zero_sigma(self, capsys, text):
+        assert main(["accountant", "--epsilon", text, "--q", "0.1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "sigma = 0\nnon-private configuration; nothing to account\n"
+
+    def test_calibration_error_is_a_validation_error(self, capsys):
+        assert main(["accountant", "--epsilon", "-1", "--q", "0.1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "imdp: error: validation: epsilon must be positive or infinite\n"
 
     def test_missing_noise_information_rejected(self, capsys):
         assert main(["accountant", "--q", "0.1"]) == EXIT_VALIDATION

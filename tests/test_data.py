@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdp.data import (IDX_BLOCK, DataFormatError, Dataset, batch_iter,
-                       bytes_from_features, downsample_images, load_idx_images,
-                       load_idx_labels, subset_by_label, synth_mixture)
+                       bytes_from_features, load_idx_images, load_idx_labels,
+                       synth_mixture)
 
 # Deterministic examples and no example database written to the tree.
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -281,32 +281,6 @@ class TestSynthMixture:
             synth_mixture(**kwargs)
 
 
-class TestSubsetByLabel:
-    def test_pair_subset_size(self):
-        ds = synth_mixture(k=8, radius=0.75, std=0.05, n=40000, seed=4)
-        sub = subset_by_label(ds, {3, 0}, per_class=2000, seed=5)
-        assert sub.n == 4000
-        counts = dict(zip(*np.unique(sub.y, return_counts=True)))
-        assert counts == {0: 2000, 3: 2000}
-
-    def test_zero_per_class_rejected(self):
-        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=6)
-        with pytest.raises(ValueError):
-            subset_by_label(ds, {0, 1}, per_class=0, seed=0)
-
-    def test_missing_label_rejected(self):
-        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=7)
-        with pytest.raises(ValueError):
-            subset_by_label(ds, {0, 9}, per_class=10, seed=0)
-
-    def test_shuffled_but_deterministic(self):
-        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=4000, seed=8)
-        a = subset_by_label(ds, {1, 2}, per_class=100, seed=9)
-        b = subset_by_label(ds, {1, 2}, per_class=100, seed=9)
-        np.testing.assert_array_equal(a.x, b.x)
-        assert not (a.y[:100] == a.y[0]).all()  # labels interleaved by the shuffle
-
-
 class TestBatchIter:
     def test_single_row_dataset(self):
         ds = Dataset(x=np.array([[0.5, -0.5]]))
@@ -344,31 +318,11 @@ class TestBatchIter:
             batch_iter(ds, 5, seed=0)
 
 
-class TestDownsample:
-    def test_pool_28_to_14(self):
-        x = np.random.default_rng(13).uniform(-1, 1, size=(3, 28 * 28))
-        out = downsample_images(x, 28, 14)
-        assert out.shape == (3, 196)
-        img = x[0].reshape(28, 28)
-        assert out[0, 0] == pytest.approx(img[:2, :2].mean())
-
-    def test_pool_28_to_8_center_crops(self):
-        x = np.random.default_rng(14).uniform(-1, 1, size=(2, 28 * 28))
-        out = downsample_images(x, 28, 8)
-        assert out.shape == (2, 64)
-        img = x[0].reshape(28, 28)
-        assert out[0, 0] == pytest.approx(img[2:5, 2:5].mean())
-
-    def test_constant_image_unchanged(self):
-        x = np.full((1, 28 * 28), 0.25)
-        out = downsample_images(x, 28, 14)
-        np.testing.assert_allclose(out, 0.25)
-
-
 class TestTrustedDataset:
     def test_subset_rows_come_from_the_validated_dataset(self):
         ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=17)
-        sub = subset_by_label(ds, {0, 2}, per_class=5, seed=0)
+        rows = np.random.default_rng(0).permutation(np.flatnonzero(np.isin(ds.y, (0, 2))))[:10]
+        sub = Dataset._trusted(ds.x[rows], ds.y[rows], source=f"{ds.source}|subset")
         assert sub.x.dtype == np.float64 and sub.x.flags.c_contiguous
         assert sub.y.dtype == np.int64
         for row, label in zip(sub.x, sub.y):

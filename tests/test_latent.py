@@ -24,6 +24,12 @@ class TestLatentSpec:
         bare = LatentSpec(z_dim=5, categorical=(), continuous=())
         assert LatentSpec.from_text(bare.to_text()) == bare
 
+    @pytest.mark.parametrize("fields", [("x", "", ""), ("4", "10,", ""), ("4", "", "5"),
+                                        ("4", "", "-1:1:2"), ("4", "", "1:-1")])
+    def test_parse_rejects_malformed_fields(self, fields):
+        with pytest.raises(ValueError):
+            LatentSpec.parse(*fields)
+
     @pytest.mark.parametrize("kwargs", [
         dict(z_dim=0),
         dict(z_dim=2, categorical=(1,)),
@@ -178,10 +184,12 @@ class TestMiLowerBound:
         means = g.affine(x, g.param("wm", (3, 1)), g.param("bm", (1,)))
         onehot = np.zeros((6, 5))
         onehot[np.arange(6), rng.integers(0, 5, 6)] = 1.0
-        mi = mi_lower_bound(g, spec, [logits], [g.const(onehot)], means,
-                            g.const(rng.uniform(-1, 1, size=(6, 1))))
+        mi = mi_lower_bound(g, spec, [logits], [g.input("cat0", (6, 5))], means,
+                            g.input("cont", (6, 1)))
         loss = g.neg(mi.total)
-        assert grad_check(g, store, {"x": rng.normal(size=(6, 3))}, loss, h=1e-5) < 1e-6
+        inputs = {"cat0": onehot, "cont": rng.uniform(-1, 1, size=(6, 1)),
+                  "x": rng.normal(size=(6, 3))}
+        assert grad_check(g, store, inputs, loss, h=1e-5) < 1e-6
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(9)

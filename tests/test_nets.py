@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdp.autodiff import _softmax_rows as softmax
+from imdp.cli import EXIT_VALIDATION, main
 from imdp.latent import Codes, LatentSpec, sample_codes
 from imdp.nets import (CheckpointError, CriticQNet, GeneratorNet, NetConfig,
                        build_critic, build_generator, critic_score, generate,
@@ -248,3 +253,114 @@ class TestCheckpoint:
         save_checkpoint(path, gen, critic, self.privacy_spec())
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def with_spec_block(blob: bytes, edit) -> bytes:
+    """The checkpoint with its trailing spec block replaced by ``edit(block)``."""
+    start = blob.index(b"latent.z_dim=")
+    block = edit(blob[start:])
+    return blob[:start - 4] + struct.pack("<I", len(block)) + block
+
+
+class TestCheckpointTypedErrors:
+    def saved(self, tmp_path, cfg=None):
+        cfg = cfg or small_cfg(18)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_generator(cfg), build_critic(cfg),
+                        PrivacySpec.calibrated(2.2, 1e-5, 0.01, 64 / 60000, 5))
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b"privacy.sigma=", b"privacy.sigmx="),
+        lambda b: b.replace(b"latent.z_dim=4\n", b""),
+        lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=5"),
+        lambda b: b.replace(b"latent.z_dim=4", b"latent.z_dim=\xff"),
+    ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8"])
+    def test_malformed_spec_block_is_a_checkpoint_error(self, tmp_path, edit):
+        path = self.saved(tmp_path)
+        path.write_bytes(with_spec_block(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        out = str(tmp_path / "sweep")
+        assert main(["generate", "--checkpoint", str(path), "--out", out]) == EXIT_VALIDATION
+
+    def test_zero_width_hidden_layer_is_a_checkpoint_error(self, tmp_path):
+        cfg = small_cfg(19)
+        gen, critic = build_generator(cfg), build_critic(cfg)
+        gen.store.params["gen.h0.W"] = np.zeros((gen.input_width, 0))
+        gen.store.params["gen.h0.b"] = np.zeros(0)
+        gen.store.params["gen.h1.W"] = np.zeros((0, 8))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, gen, critic, PrivacySpec.calibrated(INF, 1e-5, 0.01, 0.5, 5))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_utf8_parameter_name_is_a_checkpoint_error(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"gen.h0.W", b"gen.h0.\xff", 1))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec", [
+        LatentSpec(z_dim=3, categorical=(), continuous=((-1.0, 1.0),)),
+        LatentSpec(z_dim=3, categorical=(4, 2), continuous=()),
+        LatentSpec(z_dim=3, categorical=(), continuous=()),
+    ])
+    def test_latent_spec_round_trips_with_empty_code_lists(self, tmp_path, spec):
+        cfg = NetConfig(latent=spec, data_dim=5, gen_hidden=(6,), trunk_hidden=(6,))
+        assert load_checkpoint(self.saved(tmp_path, cfg)).latent == spec
+
+
+# Deterministic examples and no example database written to the tree.
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory) -> bytes:
+    cfg = small_cfg(20)
+    path = tmp_path_factory.mktemp("valid") / "model.ckpt"
+    save_checkpoint(path, build_generator(cfg), build_critic(cfg),
+                    PrivacySpec.calibrated(2.2, 1e-5, 0.01, 64 / 60000, 5))
+    return path.read_bytes()
+
+
+def _load_or_checkpoint_error(tmp_path_factory, blob: bytes) -> None:
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+class TestCheckpointProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_truncated_checkpoint_raises_only_checkpoint_error(self, tmp_path_factory,
+                                                               valid_checkpoint, data):
+        cut = data.draw(st.integers(0, len(valid_checkpoint) - 1))
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        path.write_bytes(valid_checkpoint[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_bit_flipped_checkpoint_loads_or_raises_checkpoint_error(self, tmp_path_factory,
+                                                                     valid_checkpoint, data):
+        blob = bytearray(valid_checkpoint)
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 7)), min_size=1, max_size=3))
+        for pos, bit in flips:
+            blob[pos] ^= 1 << bit
+        _load_or_checkpoint_error(tmp_path_factory, bytes(blob))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_overwritten_span_loads_or_raises_checkpoint_error(self, tmp_path_factory,
+                                                               valid_checkpoint, data):
+        start = data.draw(st.integers(0, len(valid_checkpoint) - 1))
+        junk = data.draw(st.binary(min_size=1, max_size=64))
+        blob = valid_checkpoint[:start] + junk + valid_checkpoint[start + len(junk):]
+        _load_or_checkpoint_error(tmp_path_factory, blob)
