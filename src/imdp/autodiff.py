@@ -10,13 +10,12 @@ scalar arithmetic.
 
 Every value is a 64-bit row-major numpy array.  Any non-finite entry
 produced by a public operation raises ``NonFiniteError`` instead of
-propagating silently.  ``forward`` checks the leaves (inputs and
-params) and every op that can overflow: affine, the losses, mean, add,
-sub, scale and add_scalar.  It skips tanh, relu, leaky_relu and neg:
-from finite operands they can only give finite values, and their
-operands are leaves or outputs of checked or finite-preserving ops, so
-the first non-finite value in a graph always lands on a checked node.
-The error names the same node either way.
+propagating silently.  ``forward`` checks only the inputs, the sinks
+(nodes no other node reads) and the operands of relu and tanh.  Every
+other op turns a non-finite operand into a non-finite output, and only
+relu (-inf -> 0) and tanh (+-inf -> +-1) can mask one, so a non-finite
+value anywhere reaches a checked node.  When a check fires, the pass is
+rerun checking every node, so the error names the first non-finite node.
 
 ``backward`` sends cotangents only along nodes that lie on a path from
 a wanted parameter to the loss, so no gradient is formed that no slot
@@ -32,9 +31,6 @@ import numpy as np
 
 LEAKY_SLOPE = 0.01
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# Ops whose output is finite whenever their operand is; forward skips
-# the finiteness check on them (see the module docstring).
-_FINITE_PRESERVING = frozenset({"tanh", "relu", "leaky_relu", "neg"})
 
 
 class ShapeError(ValueError):
@@ -116,6 +112,7 @@ class Graph:
         self._input_names: set[str] = set()
         # (loss, wanted parameter names or None) -> per-node flags, see _needed
         self._needed_cache: dict[tuple, list[bool]] = {}
+        self._checked_cache: list[bool] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -126,7 +123,22 @@ class Graph:
     def _append(self, node: Node) -> int:
         self.nodes.append(node)
         self._needed_cache.clear()
+        self._checked_cache = None
         return len(self.nodes) - 1
+
+    def _checked(self) -> list[bool]:
+        """Flags the nodes ``forward`` checks for finiteness: inputs,
+        sinks and operands of relu/tanh (see the module docstring)."""
+        if self._checked_cache is None:
+            checked = [nd.op == "input" for nd in self.nodes]
+            read = [False] * len(self.nodes)
+            for nd in self.nodes:
+                for j in nd.args:
+                    read[j] = True
+                    if nd.op in ("relu", "tanh"):
+                        checked[j] = True
+            self._checked_cache = [c or not r for c, r in zip(checked, read)]
+        return self._checked_cache
 
     def _needed(self, loss: int, wrt: frozenset[str] | None) -> list[bool]:
         """Flags the nodes on a path from a wanted param to ``loss``.
@@ -272,6 +284,15 @@ def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> l
     unknown = set(inputs) - graph._input_names
     if unknown:
         raise GraphError(f"unknown inputs: {sorted(unknown)}")
+    try:
+        return _evaluate(graph, store, inputs, graph._checked())
+    except NonFiniteError:
+        return _evaluate(graph, store, inputs, [True] * len(graph.nodes))
+
+
+def _evaluate(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray],
+              checked: list[bool]) -> list[np.ndarray]:
+    """``forward``'s pass, checking finiteness only on the flagged nodes."""
     acts: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
     for i, nd in enumerate(graph.nodes):
         a = nd.args
@@ -320,7 +341,7 @@ def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> l
             v = acts[a[0]] + nd.k
         else:  # pragma: no cover
             raise GraphError(f"unknown op {nd.op!r}")
-        if nd.op not in _FINITE_PRESERVING and not np.isfinite(v).all():
+        if checked[i] and not np.isfinite(v).all():
             raise NonFiniteError(f"node {i} ({nd.op}): non-finite value")
         acts[i] = v
     return acts

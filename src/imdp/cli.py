@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import write_atomic
-from .data import Dataset, load_idx_images, load_idx_labels, synth_mixture
+from .data import DataFormatError, Dataset, load_idx_images, load_idx_labels, synth_mixture
 from .evaluation import code_sweep, dataset_sha256, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
@@ -178,6 +178,16 @@ def parse_config(path: str | None, overrides: dict[str, str] | None = None) -> R
     return resolved
 
 
+def _read_idx(loader, path: str):
+    """``loader(path)``, with a path that cannot be opened as a ``ConfigError``."""
+    try:
+        return loader(path)
+    except DataFormatError:
+        raise
+    except (OSError, ValueError) as exc:  # missing file, a directory, NUL or lone surrogate
+        raise ConfigError(f"cannot read dataset file {path!r}: {exc}") from exc
+
+
 def load_dataset(descriptor: str) -> Dataset:
     """`mixture:k=..,n=..[,radius=..,std=..,seed=..]` or `idx:<images>[,labels=<path>]`."""
     kind, sep, rest = descriptor.partition(":")
@@ -198,12 +208,12 @@ def load_dataset(descriptor: str) -> Dataset:
                              seed=_to_int("seed", params["seed"]))
     if kind == "idx":
         images, _, labels_part = rest.partition(",")
-        ds = load_idx_images(images)
+        ds = _read_idx(load_idx_images, images)
         if labels_part:
             key, psep, value = labels_part.partition("=")
             if key != "labels" or not psep:
                 raise ConfigError(f"bad idx parameter {labels_part!r}")
-            labels = load_idx_labels(value)
+            labels = _read_idx(load_idx_labels, value)
             if labels.shape[0] != ds.n:
                 raise ConfigError("label count does not match image count")
             ds = Dataset._trusted(ds.x, labels, source=ds.source)

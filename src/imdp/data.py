@@ -6,19 +6,21 @@ mixtures for fast trend experiments.  Batches are drawn uniformly with
 replacement so the per-batch inclusion probability matches the sampling
 ratio used by the privacy accounting.
 
-IDX images stream: the header and the file size are checked before
-anything is allocated, then the pixels are read through one reusable
-block of ``IDX_BLOCK`` bytes and decoded in place into the preallocated
-float64 matrix.  Each block goes through the same IEEE operations in the
-same order as ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0``, so the
-features are byte-identical to that expression, and peak memory is the
-matrix plus one block.  Every byte maps to a finite value in [-1, 1], so
-the decoded matrix skips ``Dataset``'s finiteness and range scans, as do
-the evaluate command's row selections and label attachment of an already
-validated ``Dataset``.
+IDX images stay bytes: the header and the file size are checked before
+anything is allocated, then the payload is read once into a read-only
+``uint8 (N, rows*cols)`` array.  A ``Dataset`` from an IDX file holds an
+``IdxFeatures`` view of it, which has the float64 matrix's shape, ndim
+and dtype and decodes only the rows it is indexed with, as
+``pixels / 127.5 - 1.0``.  On all 256 byte values that is bit-identical
+to ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0`` and finite in
+[-1, 1], so the view skips ``Dataset``'s finiteness and range scans, as
+do the evaluate command's row selections and label attachment of an
+already validated ``Dataset``.  Memory is the pixels plus the rows a
+caller selects; ``np.asarray`` on the view decodes the whole matrix.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -29,18 +31,46 @@ from .autodiff import as_tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-IDX_BLOCK = 1 << 17  # pixels decoded per block: 128 KiB read, 1 MiB written
+# Caps on the mixture descriptor's sizes, checked before anything is built.
+MIXTURE_MAX_K = 10_000
+MIXTURE_MAX_N = 10_000_000
 
 
 class DataFormatError(ValueError):
     """Malformed IDX payload or invalid synthesis parameters."""
 
 
+class IdxFeatures(np.lib.mixins.NDArrayOperatorsMixin):
+    """Read-only IDX pixels seen as the [-1, 1] float64 feature matrix.
+
+    ``x[idx]`` decodes only the selected pixels; arithmetic, ufuncs and
+    ``np.asarray`` decode all of them.
+    """
+
+    dtype = np.dtype(np.float64)
+    ndim = 2
+
+    def __init__(self, pixels: np.ndarray):
+        self.pixels = pixels
+        self.shape = pixels.shape
+
+    def __getitem__(self, idx):
+        out = np.divide(self.pixels[idx], 127.5)
+        out -= 1.0
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("IDX features are decoded on read; a copy cannot be avoided")
+        x = self[...]
+        return x if dtype is None else x.astype(dtype, copy=False)
+
+
 @dataclass
 class Dataset:
     """Feature matrix in [-1, 1] with optional integer labels."""
 
-    x: np.ndarray
+    x: np.ndarray | IdxFeatures
     y: np.ndarray | None = None
     source: str = "unknown"
 
@@ -62,8 +92,8 @@ class Dataset:
     def _trusted(cls, x, y=None, source: str = "unknown") -> "Dataset":
         """Wrap features that are valid by construction, skipping the scans.
 
-        Only for a float64 C-contiguous (N, d) matrix already finite and in
-        [-1, 1], with int64 labels or None: the IDX decode, or rows of a
+        Only for ``IdxFeatures`` or a float64 C-contiguous (N, d) matrix
+        already finite and in [-1, 1], with int64 labels or None: rows of a
         validated ``Dataset``.  The O(1) shape checks still run, so an empty
         row selection is rejected as ``Dataset(...)`` rejects it.
         """
@@ -88,7 +118,7 @@ def _read_be_u32(data: bytes, offset: int) -> int:
 
 
 def load_idx_images(path) -> Dataset:
-    """Parse an IDX image file into a flattened, rescaled feature matrix."""
+    """Parse an IDX image file into flattened, rescaled features held as bytes."""
     with open(path, "rb") as f:
         head = f.read(16)
         magic = _read_be_u32(head, 0)
@@ -107,21 +137,14 @@ def load_idx_images(path) -> Dataset:
         size = os.fstat(f.fileno()).st_size
         if size != 16 + total:
             raise wrong_size(size - 16)
-        x = np.empty((n, rows * cols))
-        flat = x.reshape(-1)
-        raw = np.empty(min(IDX_BLOCK, total), dtype=np.uint8)
-        for lo in range(0, total, raw.size):
-            block = flat[lo:lo + raw.size]
-            got = f.readinto(raw[:block.size])
-            if got != block.size:
-                raise wrong_size(lo + got)
-            block[...] = raw[:got]
-            block /= 255.0
-            block *= 2.0
-            block -= 1.0
+        pixels = np.empty((n, rows * cols), dtype=np.uint8)
+        got = f.readinto(pixels)
+        if got != total:
+            raise wrong_size(got)
         if f.read(1):
             raise wrong_size(os.fstat(f.fileno()).st_size - 16)
-    return Dataset._trusted(x, source=f"idx:{path}")
+    pixels.flags.writeable = False
+    return Dataset._trusted(IdxFeatures(pixels), source=f"idx:{path}")
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -148,12 +171,18 @@ def synth_mixture(k: int, radius: float, std: float, n: int, seed: int) -> Datas
     Coordinates are scaled so radius + 3*std maps to 1, then clamped to
     [-1, 1]; labels record the component index.
     """
-    if k < 2:
-        raise DataFormatError("k must be >= 2")
-    if n < k:
-        raise DataFormatError("n must be >= k")
-    if radius <= 0.0 or std < 0.0:
-        raise DataFormatError("radius must be positive and std non-negative")
+    if not 2 <= k <= MIXTURE_MAX_K:
+        raise DataFormatError(f"k must be in [2, {MIXTURE_MAX_K}]")
+    if not k <= n <= MIXTURE_MAX_N:
+        raise DataFormatError(f"n must be in [k, {MIXTURE_MAX_N}]")
+    if seed < 0:
+        raise DataFormatError("seed must be >= 0")
+    # finite, and the rescale 1 / (radius + 3 std) neither overflows nor
+    # reaches 0, so no feature can come out NaN
+    if not (0.0 < radius < math.inf and 0.0 <= std < math.inf
+            and 0.0 < 1.0 / (radius + 3.0 * std) < math.inf):
+        raise DataFormatError("radius must be positive and std non-negative, "
+                              "both finite with finite 1 / (radius + 3 std)")
     rng = np.random.default_rng(seed)
     counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
     angles = 2.0 * np.pi * np.arange(k) / k

@@ -241,7 +241,12 @@ def spearman_rho(a, b) -> float:
 
 
 def dataset_sha256(ds: Dataset) -> str:
-    h = hashlib.sha256(np.ascontiguousarray(ds.x).tobytes())
+    """sha256 of the float64 features, then the int64 labels, read in row
+    blocks of about 1 MiB so IDX features are never decoded whole."""
+    h = hashlib.sha256()
+    step = max(1, (1 << 17) // ds.dim)
+    for lo in range(0, ds.n, step):
+        h.update(np.ascontiguousarray(ds.x[lo:lo + step]))
     if ds.y is not None:
         h.update(np.ascontiguousarray(ds.y).tobytes())
     return h.hexdigest()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imdp.autodiff import (Graph, NonFiniteError, ParamStore, ShapeError,
-                           GraphError, as_tensor, backward, forward, grad_check)
+                           GraphError, _evaluate, as_tensor, backward, forward, grad_check)
 
 
 def affine_net(widths, seed=0, batch=4, act="tanh"):
@@ -104,6 +104,100 @@ class TestForward:
             g.softmax_xent(logits, g.param("t", (2, 3)))
         with pytest.raises(GraphError, match="input nodes"):
             g.gaussian_loglik(logits, g.tanh(logits))
+
+
+BAD_VALUES = (np.inf, -np.inf, np.nan)
+
+
+def _graph_with_one_bad_value(seed: int):
+    """A random graph over every op kind with one inf or NaN injected at a
+    random node: one entry of an input or param, or an add_scalar or
+    scale node whose constant is the bad value.  After an injected node,
+    relu or tanh follows half the time, so relu(-inf) and tanh(+-inf)
+    masking is exercised.  Returns (graph, store, inputs)."""
+    rng = np.random.default_rng(seed)
+    g, store = Graph(), ParamStore()
+    b, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    inputs = {name: rng.normal(size=(b, w)) for name in ("x0", "x1", "t")}
+    store.add("w", rng.normal(size=(w, w)))
+    store.add("b", rng.normal(size=w))
+    rows = [g.input("x0", (b, w)), g.input("x1", (b, w))]
+    t = g.input("t", (b, w))
+    wn, bn = g.param("w", (w, w)), g.param("b", (w,))
+    bad = BAD_VALUES[int(rng.integers(3))]
+    steps = int(rng.integers(2, 12))
+    inject = int(rng.integers(-1, steps))  # -1: into a leaf entry
+    if inject < 0:
+        where = [*inputs, "w", "b"][int(rng.integers(5))]
+        arr = inputs[where] if where in inputs else store.params[where]
+        arr.reshape(-1)[int(rng.integers(arr.size))] = bad
+    for step in range(steps):
+        a = rows[int(rng.integers(len(rows)))]
+        if step == inject:
+            op = g.add_scalar if rng.random() < 0.5 else g.scale
+            rows.append(op(a, bad))
+            if rng.random() < 0.5:
+                rows.append(g.relu(rows[-1]) if rng.random() < 0.5 else g.tanh(rows[-1]))
+            continue
+        kind = int(rng.integers(9))
+        if kind == 0:
+            rows.append(g.affine(a, wn, bn))
+        elif kind < 5:
+            rows.append(getattr(g, ("tanh", "relu", "leaky_relu", "neg")[kind - 1])(a))
+        elif kind == 5:
+            rows.append(g.scale(a, float(rng.normal())) if rng.random() < 0.5
+                        else g.add_scalar(a, float(rng.normal())))
+        elif kind == 6:
+            other = rows[int(rng.integers(len(rows)))]
+            rows.append(g.add(a, other) if rng.random() < 0.5 else g.sub(a, other))
+        else:  # scalar sinks
+            (g.mean, lambda v: g.softmax_xent(v, t), lambda v: g.gaussian_loglik(v, t))[
+                int(rng.integers(3))](a)
+    return g, store, inputs
+
+
+def _first_non_finite(graph, store, inputs):
+    acts = _evaluate(graph, store, inputs, [False] * len(graph))
+    return next((i for i, v in enumerate(acts) if not np.isfinite(v).all()), None)
+
+
+class TestFiniteChecks:
+    def test_checks_inputs_sinks_and_relu_tanh_operands(self):
+        g, store, x, out = affine_net([3, 4, 4, 2])  # x, w0, b0, affine, tanh, ...
+        checked = [i for i, flag in enumerate(g._checked()) if flag]
+        assert checked == [x, 3, 7, out]
+
+    @pytest.mark.parametrize("act, bad", [("relu", -np.inf), ("tanh", np.inf),
+                                          ("tanh", -np.inf)])
+    def test_masking_op_names_the_node_before_it(self, act, bad):
+        g = Graph()
+        x = g.input("x", (2, 2))
+        hot = g.add_scalar(x, bad)
+        g.mean(getattr(g, act)(hot))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=f"node {hot} \\(add_scalar\\)"):
+            forward(g, ParamStore(), {"x": np.zeros((2, 2))})
+
+    def test_fast_pass_raises_iff_full_pass_and_names_the_first_node(self):
+        for seed in range(400):
+            g, store, inputs = _graph_with_one_bad_value(seed)
+            with np.errstate(all="ignore"):
+                first = _first_non_finite(g, store, inputs)
+                raised = []
+                for checked in (g._checked(), [True] * len(g)):
+                    try:
+                        _evaluate(g, store, inputs, checked)
+                        raised.append(None)
+                    except NonFiniteError as exc:
+                        raised.append(str(exc))
+                assert (raised[0] is None) == (raised[1] is None) == (first is None), seed
+                if first is None:
+                    forward(g, store, inputs)
+                    continue
+                assert raised[1].startswith(f"node {first} ("), seed
+                with pytest.raises(NonFiniteError) as exc:
+                    forward(g, store, inputs)
+                assert str(exc.value) == raised[1], seed
 
 
 class TestBackward:

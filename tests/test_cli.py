@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                       load_dataset, main, parse_config)
+from imdp.data import MIXTURE_MAX_N, DataFormatError
 from imdp.latent import LatentSpec
 from imdp.privacy import INF, calibrate_sigma
 
@@ -168,6 +170,81 @@ class TestLoadDataset:
         with pytest.raises(ConfigError):
             load_dataset("mixture:k=4")
 
+    @pytest.mark.parametrize("path", ["missing.idx", ".", "nul\x00byte", "lone\ud800"])
+    def test_unreadable_idx_path_is_a_config_error(self, tmp_path, path):
+        with pytest.raises(ConfigError, match="cannot read dataset file"):
+            load_dataset(f"idx:{tmp_path / path}")
+
+
+def _write_idx(directory, images, labels=None):
+    """IDX image (and label) files in the published layout; returns the descriptor."""
+    n, rows, cols = images.shape
+    path = directory / "images.idx"
+    path.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes())
+    if labels is None:
+        return f"idx:{path}"
+    (directory / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, len(labels))
+                                           + labels.astype(np.uint8).tobytes())
+    return f"idx:{path},labels={directory / 'labels.idx'}"
+
+
+@pytest.fixture(scope="module")
+def descriptor_dir(tmp_path_factory):
+    """A valid image file, a label file of another length, and a directory."""
+    root = tmp_path_factory.mktemp("descriptors")
+    _write_idx(root, np.zeros((3, 2, 2), dtype=np.uint8), np.arange(5))
+    (root / "sub").mkdir()
+    return root
+
+
+# Mixture sizes stay small or beyond the caps, so no example builds a large array.
+DESCRIPTOR_VALUE = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.integers(MIXTURE_MAX_N + 1, 10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e400", "0x10", "1_0", "\x00"]),
+    st.text(max_size=4))
+MIXTURE_SIZE = st.one_of(st.integers(2, 40).map(str), DESCRIPTOR_VALUE)
+MIXTURE_PART = st.one_of(
+    st.tuples(st.sampled_from(["k", "n", "radius", "std", "seed", "labels"]),
+              DESCRIPTOR_VALUE).map("=".join),
+    st.text(max_size=6))
+IDX_NAME = st.one_of(
+    st.sampled_from(["images.idx", "labels.idx", "sub", "missing", "", "..", "\x00", "\ud800"]),
+    st.text(alphabet=st.characters(blacklist_characters="/"), max_size=8))
+
+
+class TestLoadDatasetProperties:
+    """Descriptor text raises ConfigError or DataFormatError and nothing else."""
+
+    @PROPERTY
+    @given(k=MIXTURE_SIZE, n=MIXTURE_SIZE, parts=st.lists(MIXTURE_PART, max_size=4))
+    def test_mixture_descriptors(self, k, n, parts):
+        try:
+            load_dataset(",".join([f"mixture:k={k}", f"n={n}", *parts]))
+        except (ConfigError, DataFormatError):
+            pass
+
+    @PROPERTY
+    @given(images=IDX_NAME, labels=st.one_of(st.none(), IDX_NAME),
+           key=st.sampled_from(["labels=", "labels", "label="]))
+    def test_idx_descriptors(self, descriptor_dir, images, labels, key):
+        text = f"idx:{descriptor_dir / images}"
+        if labels is not None:
+            text += f",{key}{descriptor_dir / labels}"
+        try:
+            load_dataset(text)
+        except (ConfigError, DataFormatError):
+            pass
+
+    @PROPERTY
+    @given(text=st.text(max_size=24))
+    def test_random_text(self, text):
+        try:
+            load_dataset(text)
+        except (ConfigError, DataFormatError):
+            pass
+
 
 FAST_TRAIN_FLAGS = [
     "--ng", "2", "--batch", "8",
@@ -213,6 +290,15 @@ class TestCmdTrain:
         assert code == EXIT_VALIDATION
         assert "imdp: error: validation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", ["radius=nan", "std=nan", "std=inf",
+                                        "n=99999999999"])
+    def test_bad_mixture_parameters_exit_as_validation_errors(self, tmp_path, capsys,
+                                                              params):
+        code = main(["train", "--dataset", f"mixture:k=4,n=10,{params}",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "imdp: error: validation:" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg = fast_config_file(tmp_path, **{"train.batch": "500"})
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "x")])
@@ -244,6 +330,44 @@ class TestCmdTrain:
         run_dir = next(out.iterdir())
         assert (run_dir / "checkpoint-000002.ckpt").exists()
         assert (run_dir / "checkpoint-000004.ckpt").exists()
+
+
+def _decode(images):
+    return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0 * 2.0 - 1.0
+
+
+class TestIdxDigests:
+    """Digests of IDX data equal the sha256 of the float64 decode, then the
+    int64 labels, as when the features were held as a float64 matrix."""
+
+    IMAGES = np.random.default_rng(31).integers(0, 256, size=(90, 4, 4), dtype=np.uint8)
+    LABELS = np.random.default_rng(32).integers(0, 4, size=90)
+
+    def test_train_manifest_dataset_digest(self, tmp_path):
+        dataset = _write_idx(tmp_path, self.IMAGES, self.LABELS)
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1", "train.dataset": dataset})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        want = hashlib.sha256(_decode(self.IMAGES).tobytes())
+        want.update(self.LABELS.astype(np.int64).tobytes())
+        manifest = (next(out.iterdir()) / "manifest.txt").read_text()
+        assert f"dataset_sha256={want.hexdigest()}\n" in manifest
+
+    def test_evaluate_test_split_digest(self, tmp_path, capsys):
+        dataset = _write_idx(tmp_path, self.IMAGES, self.LABELS)
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1", "train.dataset": dataset})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        ckpt = next(out.iterdir()) / "checkpoint.ckpt"
+        assert main(["evaluate", "--model", f"inf={ckpt}", "--pair", "1,2",
+                     "--dataset", dataset, "--per-class", "8", "--map-samples", "30",
+                     "--epochs", "1", "--seed", "4", "--out", str(tmp_path)]) == EXIT_OK
+        rest = np.random.default_rng(4).permutation(90)[30:]  # evaluate's held-out rows
+        rest = rest[np.isin(self.LABELS[rest], (1, 2))]
+        want = hashlib.sha256(_decode(self.IMAGES[rest]).tobytes())
+        want.update(self.LABELS[rest].astype(np.int64).tobytes())
+        manifest = (tmp_path / "utility-manifest.txt").read_text()
+        assert f"test_split_sha256={want.hexdigest()}\n" in manifest
 
 
 class TestCmdGenerate:

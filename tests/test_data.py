@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imdp.data import (IDX_BLOCK, DataFormatError, Dataset, batch_iter,
-                       bytes_from_features, load_idx_images, load_idx_labels,
-                       synth_mixture)
+from imdp.data import (MIXTURE_MAX_K, MIXTURE_MAX_N, DataFormatError, Dataset,
+                       IdxFeatures, batch_iter, bytes_from_features, load_idx_images,
+                       load_idx_labels, synth_mixture)
+from imdp.evaluation import dataset_sha256
 
 # Deterministic examples and no example database written to the tree.
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -75,27 +77,60 @@ class TestIdxImages:
             load_idx_images(path)
 
 
+def whole_array_decode(imgs: np.ndarray) -> np.ndarray:
+    return imgs.reshape(imgs.shape[0], -1).astype(np.float64) / 255.0 * 2.0 - 1.0
+
+
 class TestIdxDecode:
     def test_every_byte_value_decodes_exactly_and_in_range(self, tmp_path):
         path = tmp_path / "images.idx"
         write_idx_images(path, np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
-        x = load_idx_images(path).x.ravel()
+        x = np.asarray(load_idx_images(path).x).ravel()
         want = np.array([np.float64(b) / 255.0 * 2.0 - 1.0 for b in range(256)])
         assert x.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert x.min() == -1.0 and x.max() == 1.0
 
-    def test_blocks_with_ragged_tail_match_whole_array_decode(self, tmp_path):
-        n = 2 * IDX_BLOCK // 784 + 3  # two full blocks, then a ragged third
-        assert (n * 784) % IDX_BLOCK != 0
+    def test_full_decode_matches_whole_array_decode(self, tmp_path):
+        n = 37
         imgs = np.random.default_rng(15).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
         path = tmp_path / "images.idx"
         write_idx_images(path, imgs)
-        ds = load_idx_images(path)
-        want = imgs.reshape(n, 784).astype(np.float64) / 255.0 * 2.0 - 1.0
-        assert ds.x.shape == want.shape and ds.x.flags.c_contiguous
-        assert ds.x.tobytes() == want.tobytes()
+        x = np.asarray(load_idx_images(path).x)
+        want = whole_array_decode(imgs)
+        assert x.shape == want.shape and x.flags.c_contiguous
+        assert x.tobytes() == want.tobytes()
 
-    def test_peak_memory_is_matrix_plus_one_block(self, tmp_path):
+    def test_view_reads_like_the_float64_matrix(self, tmp_path):
+        imgs = np.random.default_rng(18).integers(0, 256, size=(9, 3, 4), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        x = load_idx_images(path).x
+        want = whole_array_decode(imgs)
+        assert isinstance(x, IdxFeatures)
+        assert (x.shape, x.ndim, x.dtype) == (want.shape, want.ndim, want.dtype)
+        rows = np.array([8, 0, 8, 3])
+        for key in (rows, slice(2, 7), (1, 5), (slice(None), 11), Ellipsis):
+            assert np.asarray(x[key]).tobytes() == np.asarray(want[key]).tobytes()
+        assert (x + 1.0).tobytes() == (want + 1.0).tobytes()
+        assert np.array_equal(np.tanh(x), np.tanh(want))
+        with pytest.raises(ValueError):
+            x.pixels[0, 0] = 1  # the bytes are read-only
+        with pytest.raises(ValueError):
+            np.asarray(x, copy=False)
+
+    def test_batch_rows_match_whole_array_decode(self, tmp_path):
+        imgs = np.random.default_rng(19).integers(0, 256, size=(50, 28, 28), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        want = whole_array_decode(imgs)
+        batches = batch_iter(load_idx_images(path), 16, seed=5)
+        rng = np.random.default_rng(5)  # batch_iter's row draws
+        for _ in range(4):
+            batch = next(batches)
+            assert batch.dtype == np.float64 and batch.flags.c_contiguous
+            assert batch.tobytes() == want[rng.integers(0, 50, size=16)].tobytes()
+
+    def test_peak_memory_is_pixels_plus_16_kib(self, tmp_path):
         n = 2000
         imgs = np.random.default_rng(16).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
         path = tmp_path / "images.idx"
@@ -108,7 +143,28 @@ class TestIdxDecode:
         finally:
             tracemalloc.stop()
         # 16 KiB covers the file object's read buffer and interpreter objects.
-        assert peak <= ds.x.nbytes + IDX_BLOCK + 16 * 1024
+        assert peak <= ds.x.pixels.nbytes + 16 * 1024
+
+    def test_dataset_sha256_streams_row_blocks(self, tmp_path):
+        n = 3000  # 167 rows per block: 17 full blocks and a ragged tail
+        imgs = np.random.default_rng(20).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        labels = np.random.default_rng(21).integers(0, 10, size=n)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        want = hashlib.sha256(whole_array_decode(imgs).tobytes())
+        want.update(labels.astype(np.int64).tobytes())
+        del imgs
+        ds = Dataset._trusted(load_idx_images(path).x, labels.astype(np.int64))
+        tracemalloc.start()
+        try:
+            got = dataset_sha256(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want.hexdigest()
+        # one decoded block of 1 MiB plus numpy's 64 KiB cast buffer; the
+        # whole decode would be n * 784 * 8 bytes, 18.8 MB
+        assert peak <= (1 << 20) + 128 * 1024
 
     def test_huge_row_count_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "images.idx"
@@ -192,7 +248,8 @@ class TestIdxParsersProperties:
         ds = self.load_or_reject(load_idx_images, idx_path, flipped)
         if bit >= 8 * 16:  # a flip in the payload leaves a valid file
             pixels = np.frombuffer(flipped, dtype=np.uint8, offset=16)
-            assert ds.x.tobytes() == (pixels.astype(np.float64) / 255.0 * 2.0 - 1.0).tobytes()
+            x = np.asarray(ds.x)
+            assert x.tobytes() == (pixels.astype(np.float64) / 255.0 * 2.0 - 1.0).tobytes()
 
     @PROPERTY
     @given(blob=valid_label_files(), bit=st.integers(min_value=0))
@@ -279,6 +336,35 @@ class TestSynthMixture:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(DataFormatError):
             synth_mixture(**kwargs)
+
+    @pytest.mark.parametrize("radius, std", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (0.5, float("nan")), (0.5, float("inf")),
+        (0.5, -0.1), (1e308, 1e308), (5e-324, 0.0),
+    ], ids=["radius-nan", "radius-inf", "std-nan", "std-inf", "std-negative",
+            "rescale-underflows", "rescale-overflows"])
+    def test_rejects_parameters_that_give_non_finite_features(self, radius, std):
+        with pytest.raises(DataFormatError, match="radius"):
+            synth_mixture(k=4, radius=radius, std=std, n=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(k=MIXTURE_MAX_K + 1, n=MIXTURE_MAX_N), "k must be"),
+        (dict(k=4, n=MIXTURE_MAX_N + 1), "n must be"),
+        (dict(k=99999999999, n=99999999999), "k must be"),
+        (dict(k=4, n=10, seed=-1), "seed"),
+    ])
+    def test_sizes_are_capped_before_anything_is_built(self, kwargs, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=match):
+                synth_mixture(**{"radius": 0.75, "std": 0.05, "seed": 0, **kwargs})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_largest_sizes_are_accepted(self):
+        ds = synth_mixture(k=MIXTURE_MAX_K, radius=0.75, std=0.05, n=2 * MIXTURE_MAX_K, seed=0)
+        assert ds.n == 2 * MIXTURE_MAX_K and np.bincount(ds.y).tolist() == [2] * MIXTURE_MAX_K
 
 
 class TestBatchIter:
