@@ -8,6 +8,7 @@ that replays the run exactly, byte for byte in the metrics log.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .artifacts import write_atomic
 from .data import DataFormatError, Dataset, load_idx_images, load_idx_labels, synth_mixture
-from .evaluation import code_sweep, dataset_sha256, utility_privacy_curve
+from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
 from .privacy import AccountantState, accumulate, calibrate_sigma, spent_epsilon
@@ -332,7 +333,10 @@ def cmd_evaluate(args) -> int:
     n_map = min(int(args.map_samples), real.n // 2)
     map_data = Dataset._trusted(real.x[order[:n_map]], real.y[order[:n_map]],
                                 source=f"{real.source}|map")
-    test_data = Dataset._trusted(real.x[order[n_map:]], real.y[order[n_map:]],
+    # select the pair's held-out rows on indices, so only they are decoded
+    held_out = order[n_map:]
+    held_out = held_out[pair_rows(real.y[held_out], pair)]
+    test_data = Dataset._trusted(real.x[held_out], real.y[held_out],
                                  source=f"{real.source}|test")
     report = utility_privacy_curve(models, pair=pair, real_test=test_data,
                                    map_data=map_data,
@@ -387,7 +391,13 @@ def _flag_overrides(args) -> dict[str, str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``imdp`` argument parser, built once per process.
+
+    Parsing never changes it: ``parse_args`` fills a fresh ``Namespace``
+    each call, and ``--model`` appends to a copy of its default list.
+    """
     parser = argparse.ArgumentParser(
         prog="imdp",
         description="Train and probe differentially private code-conditioned generators.")

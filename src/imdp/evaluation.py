@@ -269,6 +269,16 @@ def _generate_labeled(gen: GeneratorNet, spec: LatentSpec, category: int,
     return Dataset(x=x, y=np.full(count, label), source=f"generated:cat={category}")
 
 
+def pair_rows(y: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Indices, in order, of the rows labeled ``pair[0]`` or ``pair[1]``;
+    a split with none of them is an error."""
+    a, b = int(pair[0]), int(pair[1])
+    rows = np.flatnonzero(np.isin(y, (a, b)))
+    if not rows.size:
+        raise ValueError(f"test split holds no rows labeled {a} or {b}")
+    return rows
+
+
 def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
                           pair: tuple[int, int], real_test: Dataset,
                           map_data: Dataset, per_class: int = 2000,
@@ -282,11 +292,11 @@ def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
     a, b = int(pair[0]), int(pair[1])
     if real_test.y is None:
         raise ValueError("real test data needs labels")
-    keep = np.isin(real_test.y, (a, b))
-    if not keep.any():
-        raise ValueError(f"test split holds no rows labeled {a} or {b}")
-    test = Dataset._trusted(real_test.x[keep], real_test.y[keep],
-                            source=f"{real_test.source}|pair={a}-{b}")
+    x, y = real_test.x, real_test.y
+    keep = pair_rows(y, (a, b))
+    if keep.size < real_test.n:
+        x, y = x[keep], y[keep]
+    test = Dataset._trusted(x, y, source=f"{real_test.source}|pair={a}-{b}")
     rows = []
     for eps in sorted(models, reverse=True):
         gen, critic = models[eps]

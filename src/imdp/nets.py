@@ -251,9 +251,9 @@ def _spec_block(latent: LatentSpec, privacy: PrivacySpec) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_spec_block(blob: bytes) -> tuple[LatentSpec, PrivacySpec]:
+def _parse_spec_block(blob: memoryview) -> tuple[LatentSpec, PrivacySpec]:
     latent_lines, privacy_lines = [], []
-    for line in blob.decode("utf-8").splitlines():
+    for line in str(blob, "utf-8").splitlines():
         if line.startswith("latent."):
             latent_lines.append(line[len("latent."):])
         elif line.startswith("privacy."):
@@ -287,11 +287,14 @@ def save_checkpoint(path, gen: GeneratorNet, critic: CriticQNet,
 
 
 class _Reader:
+    """Reads a checkpoint through a ``memoryview``: ``take`` slices copy
+    nothing, so each tensor is copied once, out of the file's bytes."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError("truncated checkpoint payload")
         chunk = self.data[self.pos:self.pos + n]
@@ -333,7 +336,7 @@ def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        name = str(r.take(nlen), "utf-8")
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         size = math.prod(shape)

@@ -123,6 +123,50 @@ def perturb_gradient(store: ParamStore, sigma: float, c_p: float,
 
 # -- log-moments of one noisy step -------------------------------------
 
+# log(j!) = lgamma(j + 1) for j = 0..LAMBDA_MAX+1, all the sums up to
+# order LAMBDA_MAX need
+_LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(LAMBDA_MAX + 2)])
+
+
+def _log_moments(q: float, sigma: float, lams: range) -> list[float]:
+    """alpha(lam) for each order in ``lams``, as ``step_log_moment`` defines it.
+
+    Row lam of a term matrix holds the summands k = 0..lam+1 in log
+    space, each formed by the same IEEE operations in the same order as
+    the scalar sum ``lgC + (n-k) log(1-q) + k log q + (k^2-k) / (2 sigma^2)``
+    with n = lam+1; cells past k = n are -inf.  ``math.exp`` (exactly 0
+    on -inf), ``math.fsum`` and ``math.log`` then finish each row, so the
+    result is bit-identical to summing each order on its own.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    inv = 0.5 / sigma / sigma
+    for lam in lams:
+        if lam < 1:
+            raise ValueError("lam must be >= 1")
+        if not math.isfinite(lam * (lam + 1) * inv):
+            raise ValueError(f"sigma={sigma!r} too small: the order-{lam} moment "
+                             "overflows float64")
+    if q == 1.0:
+        return [lam * (lam + 1) * inv for lam in lams]  # only k = lam+1 survives
+    n = np.array(lams)[:, None] + 1
+    k = np.arange(lams[-1] + 2)
+    nk = n - k
+    past = nk < 0
+    log_fact = (_LOG_FACTORIAL if len(k) <= len(_LOG_FACTORIAL)
+                else np.array([math.lgamma(j + 1) for j in range(len(k))]))
+    terms = log_fact[n] - log_fact[k] - log_fact[np.where(past, 0, nk)]
+    terms += nk * math.log1p(-q)
+    terms += k * math.log(q)
+    terms += (k * k - k) * inv
+    terms[past] = -math.inf
+    tops = terms.max(axis=1)
+    return [max(top + math.log(math.fsum(map(math.exp, row))), 0.0)
+            for top, row in zip(tops.tolist(), (terms - tops[:, None]).tolist())]
+
+
 def step_log_moment(q: float, sigma: float, lam: int) -> float:
     """Log-moment of one subsampled Gaussian step at integer order lam.
 
@@ -137,25 +181,7 @@ def step_log_moment(q: float, sigma: float, lam: int) -> float:
     the moment of the step.  A sigma so small that the k = lam+1 exponent
     overflows float64 is rejected.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    n = lam + 1
-    inv = 0.5 / sigma / sigma
-    if not math.isfinite(lam * n * inv):
-        raise ValueError(f"sigma={sigma!r} too small: the order-{lam} moment "
-                         "overflows float64")
-    if q == 1.0:
-        return lam * n * inv  # only k = lam+1 survives
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    terms = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-             + (n - k) * log_1mq + k * log_q + (k * k - k) * inv
-             for k in range(n + 1)]
-    top = max(terms)
-    return max(top + math.log(math.fsum(math.exp(t - top) for t in terms)), 0.0)
+    return _log_moments(q, sigma, range(lam, lam + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -169,8 +195,7 @@ class AccountantState:
 
     @classmethod
     def create(cls, q: float, sigma: float) -> "AccountantState":
-        moments = np.array([step_log_moment(q, sigma, lam)
-                            for lam in range(1, LAMBDA_MAX + 1)])
+        moments = np.array(_log_moments(q, sigma, range(1, LAMBDA_MAX + 1)))
         return cls(q=q, sigma=sigma, steps=0, step_moments=moments)
 
     @property

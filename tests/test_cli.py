@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
-                      load_dataset, main, parse_config)
+                      build_parser, load_dataset, main, parse_config)
 from imdp.data import MIXTURE_MAX_N, DataFormatError
 from imdp.latent import LatentSpec
 from imdp.privacy import INF, calibrate_sigma
@@ -368,6 +369,82 @@ class TestIdxDigests:
         want.update(self.LABELS[rest].astype(np.int64).tobytes())
         manifest = (tmp_path / "utility-manifest.txt").read_text()
         assert f"test_split_sha256={want.hexdigest()}\n" in manifest
+
+
+class TestEvaluateDecodesOnlyThePair:
+    def test_peak_memory_is_below_the_held_out_decode(self, tmp_path, capsys):
+        n, side, n_map = 3000, 28, 100
+        images = np.random.default_rng(41).integers(0, 256, size=(n, side, side),
+                                                    dtype=np.uint8)
+        labels = np.arange(n) % 10  # the pair 3,8 is a fifth of the rows
+        dataset = _write_idx(tmp_path, images, labels)
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1", "train.dataset": dataset})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        ckpt = next(out.iterdir()) / "checkpoint.ckpt"
+        argv = ["evaluate", "--model", f"inf={ckpt}", "--pair", "3,8", "--dataset", dataset,
+                "--per-class", "8", "--map-samples", str(n_map), "--epochs", "1",
+                "--out", str(tmp_path / "eval")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # decoding every held-out row would take 18.2 MB on its own; the
+        # pair's rows are a fifth of that
+        held_out_decode = (n - n_map) * side * side * 8
+        assert peak < images.nbytes + held_out_decode // 2
+
+    def test_pair_absent_from_the_split_is_a_validation_error(self, tmp_path, capsys):
+        images = np.zeros((40, 4, 4), dtype=np.uint8)
+        dataset = _write_idx(tmp_path, images, np.arange(40) % 3)
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1", "train.dataset": dataset})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        ckpt = next(out.iterdir()) / "checkpoint.ckpt"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", f"inf={ckpt}", "--pair", "7,8",
+                     "--dataset", dataset, "--map-samples", "10",
+                     "--out", str(tmp_path / "eval")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "imdp: error: validation: test split holds no rows labeled 7 or 8\n")
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; nothing one call
+    parses reaches the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_bad_argv_then_good_query(self, capsys):
+        assert main(["accountant", "--steps", "3"]) == EXIT_VALIDATION  # no --q
+        assert main(["accountant", "--q", "0.1", "--bogus"]) == EXIT_VALIDATION
+        capsys.readouterr()
+        assert main(["accountant", "--sigma", "4.0", "--q", "1.0", "--steps", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "steps = 1\n" in out
+        assert "spent_epsilon(delta=1e-05) = 1.23094\n" in out
+
+    def test_models_do_not_carry_over(self, tmp_path, capsys):
+        assert main(["evaluate", "--model", f"inf={tmp_path / 'a.ckpt'}",
+                     "--model", f"2.2={tmp_path / 'b.ckpt'}", "--pair", "0,1",
+                     "--dataset", "mixture:k=4,n=64,std=0.1,seed=2"]) == EXIT_RUNTIME
+        capsys.readouterr()
+        assert main(["evaluate", "--pair", "0,1",
+                     "--dataset", "mixture:k=4,n=64,std=0.1,seed=2"]) == EXIT_VALIDATION
+        assert "at least one --model" in capsys.readouterr().err
+
+    def test_train_flags_do_not_carry_over(self, tmp_path, capsys):
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1"})
+        assert main(["train", "--config", cfg, "--epsilon", "-1", "--seed", "7",
+                     "--nd", "3", "--out", str(tmp_path / "rejected")]) == EXIT_VALIDATION
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        resolved = (next(out.iterdir()) / "config.resolved").read_text().splitlines()
+        assert {"privacy.epsilon=inf", "train.seed=0", "train.nd=5"} <= set(resolved)
+        assert not (tmp_path / "rejected").exists()
 
 
 class TestCmdGenerate:

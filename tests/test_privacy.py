@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imdp.autodiff import ParamStore
-from imdp.privacy import (INF, AccountantState, PrivacySpec, accumulate,
+from imdp.privacy import (INF, LAMBDA_MAX, AccountantState, PrivacySpec, accumulate,
                           calibrate_sigma, clip_weights, perturb_gradient,
                           spent_epsilon, step_log_moment)
 
@@ -183,6 +183,82 @@ def quadrature_log_moment(q, sigma, lam, mixture_num):
                          points=centers, limit=4000, epsabs=1e-13, epsrel=1e-11)
     assert value > 0.0 and abserr <= 1e-8 * value, "quadrature did not converge"
     return shift + math.log(value)
+
+
+def scalar_log_moment(q: float, sigma: float, lam: int) -> float:
+    """The program's binomial sum for one order, one term at a time: the
+    reference the all-orders array form must match bit for bit."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
+    n = lam + 1
+    inv = 0.5 / sigma / sigma
+    if not math.isfinite(lam * n * inv):
+        raise ValueError(f"sigma={sigma!r} too small: the order-{lam} moment "
+                         "overflows float64")
+    if q == 1.0:
+        return lam * n * inv  # only k = lam+1 survives
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    terms = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+             + (n - k) * log_1mq + k * log_q + (k * k - k) * inv
+             for k in range(n + 1)]
+    top = max(terms)
+    return max(top + math.log(math.fsum(math.exp(t - top) for t in terms)), 0.0)
+
+
+BIT_GRID_Q = (64 / 768, 64 / 60000, 1 / 16, 0.5, 1.0)
+BIT_GRID_SIGMA = (0.0029, 0.43, 1.036, 1e-7, 2.0)
+
+
+class TestLogMomentBitIdentity:
+    """The all-orders sum equals the one-order scalar sum exactly."""
+
+    @pytest.mark.parametrize("q", BIT_GRID_Q)
+    @pytest.mark.parametrize("sigma", BIT_GRID_SIGMA)
+    def test_every_order_equals_scalar_sum(self, q, sigma):
+        want = [scalar_log_moment(q, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)]
+        assert AccountantState.create(q, sigma).step_moments.tolist() == want
+        assert [step_log_moment(q, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)] == want
+
+    @pytest.mark.parametrize("q", BIT_GRID_Q)
+    def test_orders_beyond_lambda_max(self, q):
+        for sigma in (0.43, 2.0):
+            for lam in (LAMBDA_MAX + 1, 2 * LAMBDA_MAX, 100):
+                assert step_log_moment(q, sigma, lam) == scalar_log_moment(q, sigma, lam)
+
+    def test_mnist_ratio_at_the_paper_levels(self):
+        q = 64 / 60000
+        for eps in (5.5, 2.2, 1.22):
+            sigma = calibrate_sigma(eps, 1e-5, q, 5)
+            want = [scalar_log_moment(q, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)]
+            assert AccountantState.create(q, sigma).step_moments.tolist() == want
+
+    def test_sigma_beyond_float_range_still_too_small(self):
+        with pytest.raises(ValueError, match="too small"):
+            AccountantState.create(0.5, 1e-200)
+        with pytest.raises(ValueError, match="too small"):
+            step_log_moment(0.5, 1e-200, LAMBDA_MAX + 8)
+
+    def test_overflow_names_the_first_order_that_overflows(self):
+        sigma = 1.2e-153  # orders up to 22 are finite, 23 and above overflow
+        with pytest.raises(ValueError) as want:
+            [scalar_log_moment(0.5, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)]
+        with pytest.raises(ValueError) as got:
+            AccountantState.create(0.5, sigma)
+        assert str(got.value) == str(want.value)
+        assert "order-23 " in str(got.value)
+        for lam in (1, 22, 23, LAMBDA_MAX, LAMBDA_MAX + 1):
+            try:
+                want_value = scalar_log_moment(0.5, sigma, lam)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    step_log_moment(0.5, sigma, lam)
+                assert str(got.value) == str(exc)
+            else:
+                assert step_log_moment(0.5, sigma, lam) == want_value
 
 
 class TestStepLogMoment:
