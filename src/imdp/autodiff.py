@@ -59,18 +59,31 @@ class ParamStore:
     Parameter arrays are owned by the store and mutated in place by
     optimizers and clipping, so several views (e.g. a merged store used
     by a composite graph) observe a single storage location per name.
+
+    The gradient slots are zero-filled on the first read of ``grads``
+    (by ``backward``, ``union``, an optimizer or the noise), and ``add``
+    makes a slot only once they exist.  So a store that is only run
+    forward, such as a net loaded to evaluate or generate, holds its
+    parameters alone.
     """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] | None = None
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        if self._grads is None:
+            self._grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+        return self._grads
 
     def add(self, name: str, value) -> None:
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
         arr = as_tensor(value, where=f"param {name!r}")
         self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
+        if self._grads is not None:
+            self._grads[name] = np.zeros_like(arr)
 
     def names(self) -> list[str]:
         return list(self.params)
@@ -86,12 +99,13 @@ class ParamStore:
     def union(cls, *stores: "ParamStore") -> "ParamStore":
         """A store sharing the member stores' arrays and gradient slots (not copies)."""
         merged = cls()
+        merged._grads = {}
         for store in stores:
             for name, arr in store.params.items():
                 if name in merged.params:
                     raise ValueError(f"parameter name collision: {name!r}")
                 merged.params[name] = arr
-                merged.grads[name] = store.grads[name]
+                merged._grads[name] = store.grads[name]
         return merged
 
 

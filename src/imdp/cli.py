@@ -25,7 +25,7 @@ from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_c
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
 from .privacy import AccountantState, accumulate, calibrate_sigma, spent_epsilon
-from .train import TrainConfig, build_trainer, train
+from .train import TrainConfig, build_trainer, keep_freed_heap, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -442,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

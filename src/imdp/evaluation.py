@@ -39,15 +39,12 @@ class SweepGrid:
 
     def to_pgm(self, path, img_side: int) -> None:
         """Tile the grid into one portable graymap (binary P5)."""
-        d = self.values.shape[2]
+        rows, cols, d = self.values.shape
         if img_side * img_side != d:
             raise ValueError(f"data dim {d} is not {img_side}x{img_side}")
-        canvas = np.zeros((self.rows * img_side, self.cols * img_side), dtype=np.uint8)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                img = bytes_from_features(self.values[r, c]).reshape(img_side, img_side)
-                canvas[r * img_side:(r + 1) * img_side,
-                       c * img_side:(c + 1) * img_side] = img
+        tiles = bytes_from_features(self.values).reshape(rows, cols, img_side, img_side)
+        # tile (r, c) pixel (i, j) lands at canvas row r*side+i, column c*side+j
+        canvas = tiles.transpose(0, 2, 1, 3).reshape(rows * img_side, cols * img_side)
         header = f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii")
         write_atomic(path, header + canvas.tobytes())
 
@@ -279,6 +276,26 @@ def pair_rows(y: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     return rows
 
 
+def _utility_row(eps: float, gen: GeneratorNet, critic: CriticQNet,
+                 pair: tuple[int, int], test: Dataset, map_data: Dataset,
+                 per_class: int, epochs: int, seed: int) -> UtilityRow:
+    """One privacy level of ``utility_privacy_curve``.  Its generated
+    split and classifier live only in this call, so one level's are freed
+    before the next level generates."""
+    mapping, tie = map_categories_to_labels(critic, map_data)
+    rng = np.random.default_rng(seed)
+    parts = [_generate_labeled(gen, gen.cfg.latent, mapping[lbl], lbl, per_class, rng)
+             for lbl in pair]
+    train_ds = Dataset(x=np.concatenate([p.x for p in parts]),
+                       y=np.concatenate([p.y for p in parts]),
+                       source=f"generated:eps={eps}")
+    del parts
+    clf = train_binary_classifier(train_ds, epochs=epochs, seed=seed)
+    return UtilityRow(epsilon=eps, train_source=train_ds.source,
+                      accuracy=clf.accuracy(test), n_train=train_ds.n, n_test=test.n,
+                      mapping_tie=tie)
+
+
 def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
                           pair: tuple[int, int], real_test: Dataset,
                           map_data: Dataset, per_class: int = 2000,
@@ -297,22 +314,8 @@ def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
     if keep.size < real_test.n:
         x, y = x[keep], y[keep]
     test = Dataset._trusted(x, y, source=f"{real_test.source}|pair={a}-{b}")
-    rows = []
-    for eps in sorted(models, reverse=True):
-        gen, critic = models[eps]
-        spec = gen.cfg.latent
-        mapping, tie = map_categories_to_labels(critic, map_data)
-        rng = np.random.default_rng(seed)
-        parts = [_generate_labeled(gen, spec, mapping[lbl], lbl, per_class, rng)
-                 for lbl in (a, b)]
-        train_ds = Dataset(x=np.concatenate([p.x for p in parts]),
-                           y=np.concatenate([p.y for p in parts]),
-                           source=f"generated:eps={eps}")
-        clf = train_binary_classifier(train_ds, epochs=epochs, seed=seed)
-        rows.append(UtilityRow(
-            epsilon=eps, train_source=train_ds.source,
-            accuracy=clf.accuracy(test), n_train=train_ds.n, n_test=test.n,
-            mapping_tie=tie))
+    rows = [_utility_row(eps, *models[eps], (a, b), test, map_data, per_class, epochs, seed)
+            for eps in sorted(models, reverse=True)]
     return UtilityReport(rows=rows, test_split_sha256=dataset_sha256(test))
 
 

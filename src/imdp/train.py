@@ -11,6 +11,7 @@ objective only, so no real-data gradient bypasses the noised path.
 from __future__ import annotations
 
 import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -303,16 +304,20 @@ class TrainResult:
     wall_seconds: float
 
 
-def _keep_freed_heap() -> None:
+@functools.cache
+def keep_freed_heap() -> None:
     """Keep freed heap memory mapped between iterations (glibc only).
 
     Every step allocates and frees its activations and gradients, about
     1 MB on a 2-dim config with 128-wide nets.  Under glibc's starting
     thresholds that memory goes back to the kernel at the end of each
     step and is faulted in again by the next: ~1450 page faults and ~20%
-    of an iteration.  These are the limits glibc's own dynamic thresholds
-    grow to (mmap 32 MB, trim twice that); other allocators are left as
-    they are.
+    of an iteration.  Loading a 784-dim checkpoint likewise faults in
+    ~300 fresh pages per load.  These are the limits glibc's own dynamic
+    thresholds grow to (mmap 32 MB, trim twice that); other allocators
+    are left as they are.  The thresholds are process state, so they are
+    set once per process: ``train`` and the ``imdp`` entry point call
+    this, and later calls return at once.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -329,7 +334,7 @@ def train(config: TrainConfig, data: Dataset, on_iteration=None) -> TrainResult:
     ``on_iteration(i, trainer)`` fires at each generator-iteration
     boundary, after that iteration's updates.
     """
-    _keep_freed_heap()
+    keep_freed_heap()
     seeds = derive_seeds(config.seed)
     trainer = build_trainer(config, data)
     batches = batch_iter(data, config.batch, seeds["batches"])

@@ -418,6 +418,27 @@ class TestParamStore:
         u = ParamStore.union(a, b)
         assert u.grads["x"] is a.grads["x"] and u.grads["y"] is b.grads["y"]
 
+    def test_slots_are_made_on_first_read_and_then_by_add(self):
+        store = ParamStore()
+        store.add("w", np.ones((2, 3)))
+        assert store._grads is None
+        assert not store.grads["w"].any()
+        store.add("b", np.ones(3))
+        assert store.grads["b"].shape == (3,) and not store.grads["b"].any()
+
+    def test_backward_fills_slots_never_read(self):
+        x = np.random.default_rng(4).normal(size=(4, 3))
+        g, lazy, _, out = affine_net([3, 5, 2], seed=3)
+        _, ready, _, _ = affine_net([3, 5, 2], seed=3)
+        ready.zero_grads()
+        loss = g.mean(out)
+        assert lazy._grads is None
+        got = backward(g, lazy, forward(g, lazy, {"x": x}), loss)
+        want = backward(g, ready, forward(g, ready, {"x": x}), loss)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_union_rejects_collisions(self):
         a, b = ParamStore(), ParamStore()
         a.add("x", np.zeros(2))

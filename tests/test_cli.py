@@ -1,7 +1,10 @@
 import hashlib
 import math
 import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -462,6 +465,35 @@ class TestCmdGenerate:
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         code = main(["generate", "--checkpoint", str(tmp_path / "none.ckpt")])
         assert code == EXIT_RUNTIME
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
+    def test_repeated_generate_does_not_fault_in_fresh_pages(self, tmp_path):
+        # A fresh process that never trains: only the entry point can raise
+        # glibc's malloc thresholds there.
+        code = f"""
+import contextlib, io, resource
+from imdp.cli import main
+from imdp.latent import LatentSpec
+from imdp.nets import NetConfig, build_critic, build_generator, save_checkpoint
+from imdp.privacy import PrivacySpec
+cfg = NetConfig(latent=LatentSpec(z_dim=62, categorical=(10,), continuous=((-1.0, 1.0),)),
+                data_dim=784)
+ckpt = {str(tmp_path / "model.ckpt")!r}
+save_checkpoint(ckpt, build_generator(cfg), build_critic(cfg),
+                PrivacySpec.calibrated(float("inf"), 1e-5, 0.01, 64 / 60000, 5))
+argv = ["generate", "--checkpoint", ckpt, "--out", {str(tmp_path)!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        main(argv)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        # ~1100 per call when each load's and sweep's memory goes back to the kernel
+        assert float(out) < 100.0
 
 
 class TestCmdEvaluate:

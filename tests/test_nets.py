@@ -185,6 +185,15 @@ class TestCheckpoint:
         codes = sample_codes(cfg.latent, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(generate(bundle.gen, codes), generate(gen, codes))
 
+    def test_loaded_nets_run_without_gradient_slots(self, tmp_path):
+        cfg = small_cfg(12)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_generator(cfg), build_critic(cfg), self.privacy_spec())
+        bundle = load_checkpoint(path)
+        x = generate(bundle.gen, sample_codes(cfg.latent, 3, np.random.default_rng(0)))
+        q_posterior(bundle.critic, x)
+        assert bundle.gen.store._grads is None and bundle.critic.store._grads is None
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg = small_cfg(11)
         path = tmp_path / "model.ckpt"
