@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +54,34 @@ def as_tensor(value, where: str = "tensor") -> np.ndarray:
     return arr
 
 
+class Run(NamedTuple):
+    """A contiguous 1-D stretch of a store: the names it covers, in order,
+    and flat views of their parameters and gradient slots."""
+
+    names: tuple[str, ...]
+    params: np.ndarray
+    grads: np.ndarray
+
+
 class ParamStore:
     """Named parameters with matching gradient slots.
 
     Parameter arrays are owned by the store and mutated in place by
-    optimizers and clipping, so several views (e.g. a merged store used
-    by a composite graph) observe a single storage location per name.
+    optimizers and clipping, never replaced, so several views (e.g. a
+    merged store used by a composite graph) observe a single storage
+    location per name.
+
+    ``union`` lays its members' parameters out in one contiguous buffer,
+    and their gradient slots in another, in member order, and rebinds the
+    members to views of them.  ``runs(names)`` then yields the fewest 1-D
+    runs covering ``names``: names laid out side by side share one run,
+    so an elementwise pass (an optimizer, clipping, noise) makes one numpy
+    call per run instead of one per tensor, with the same arithmetic on
+    every entry.
 
     The gradient slots are zero-filled on the first read of ``grads``
-    (by ``backward``, ``union``, an optimizer or the noise), and ``add``
-    makes a slot only once they exist.  So a store that is only run
+    (by ``backward``, an optimizer or the noise) or by ``union``, and
+    ``add`` makes a slot only once they exist.  So a store that is only run
     forward, such as a net loaded to evaluate or generate, holds its
     parameters alone.
     """
@@ -70,6 +89,10 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] | None = None
+        # set by union: the shared flat buffers and each name's [start, stop) in them
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
+        self._spans: dict[str, tuple[int, int]] = {}
+        self._runs: dict[tuple[str, ...], list[Run]] = {}
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
@@ -84,6 +107,7 @@ class ParamStore:
         self.params[name] = arr
         if self._grads is not None:
             self._grads[name] = np.zeros_like(arr)
+        self._runs.clear()
 
     def names(self) -> list[str]:
         return list(self.params)
@@ -91,21 +115,70 @@ class ParamStore:
     def names_with_prefix(self, *prefixes: str) -> list[str]:
         return [n for n in self.params if n.startswith(prefixes)]
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+    def runs(self, names: Iterable[str] | None = None) -> list[Run]:
+        """The fewest contiguous runs covering ``names`` (all when None), in
+        their order.  A name outside ``union``'s buffers is a run of its own."""
+        key = tuple(self.params if names is None else names)
+        found = self._runs.get(key)
+        if found is None:
+            found = self._runs[key] = self._make_runs(key)
+        return found
+
+    def _make_runs(self, names: tuple[str, ...]) -> list[Run]:
+        grads = self.grads
+        groups: list[list] = []  # [names, start, stop]; start is None off the buffers
+        for name in names:
+            span = self._spans.get(name)
+            if span is not None and groups and groups[-1][2] == span[0]:
+                groups[-1][0].append(name)
+                groups[-1][2] = span[1]
+            else:
+                groups.append([[name], *(span or (None, None))])
+        out = []
+        for group, start, stop in groups:
+            if start is None:
+                name = group[0]
+                out.append(Run((name,), self.params[name].reshape(-1),
+                               grads[name].reshape(-1)))
+            else:
+                flat_params, flat_grads = self._flat
+                out.append(Run(tuple(group), flat_params[start:stop], flat_grads[start:stop]))
+        return out
 
     @classmethod
     def union(cls, *stores: "ParamStore") -> "ParamStore":
-        """A store sharing the member stores' arrays and gradient slots (not copies)."""
-        merged = cls()
-        merged._grads = {}
+        """A store over one parameter buffer and one gradient buffer that
+        the member stores are rebound to (views, not copies).
+
+        Values and slot contents move into the buffers unchanged.  A store
+        that held a member's old arrays, such as an earlier union, no
+        longer shares them."""
+        seen: set[str] = set()
         for store in stores:
-            for name, arr in store.params.items():
-                if name in merged.params:
+            for name in store.params:
+                if name in seen:
                     raise ValueError(f"parameter name collision: {name!r}")
-                merged.params[name] = arr
-                merged._grads[name] = store.grads[name]
+                seen.add(name)
+        total = sum(arr.size for store in stores for arr in store.params.values())
+        flat = (np.empty(total), np.zeros(total))
+        merged = cls()
+        merged._flat, merged._grads = flat, {}
+        pos = 0
+        for store in stores:
+            slots = {}
+            for name, arr in store.params.items():
+                stop = pos + arr.size
+                param = flat[0][pos:stop].reshape(arr.shape)
+                param[...] = arr
+                slot = flat[1][pos:stop].reshape(arr.shape)
+                if store._grads is not None:
+                    slot[...] = store._grads[name]
+                store.params[name] = merged.params[name] = param
+                slots[name] = merged._grads[name] = slot
+                store._spans[name] = merged._spans[name] = (pos, stop)
+                pos = stop
+            store._grads, store._flat = slots, flat
+            store._runs.clear()
         return merged
 
 
@@ -330,7 +403,7 @@ def _evaluate(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray],
             v = np.maximum(acts[a[0]], 0.0)
         elif nd.op == "leaky_relu":
             x = acts[a[0]]
-            v = np.where(x > 0.0, x, LEAKY_SLOPE * x)
+            v = np.maximum(x, LEAKY_SLOPE * x)  # the slope is below 1
         elif nd.op == "softmax_xent":
             logits, t = acts[a[0]], acts[a[1]]
             m = logits.max(axis=1, keepdims=True)
@@ -366,35 +439,33 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
     """Fill the store's gradient slots with d(loss)/d(param).
 
     The loss node must be scalar-shaped and ``acts`` must come from a
-    matching ``forward`` run.  With ``wrt=None`` every slot is zeroed
-    and then filled.  With ``wrt`` an iterable of parameter names, only
-    those slots are zeroed and filled and every other slot is left
-    untouched; the names must be in the store.  Gradients from multiple
-    uses of a parameter accumulate.  Cotangents flow only into nodes on a
-    path from a wanted parameter to the loss; every other gradient is
-    skipped, and the wanted ones come out bit-identical to an unpruned
-    pass because each needed node receives the same terms in the same
-    order.
+    matching ``forward`` run.  With ``wrt=None`` every slot is filled.
+    With ``wrt`` an iterable of parameter names, only those slots are
+    filled and every other slot is left untouched; the names must be in
+    the store.  A slot's first term is copied in and later terms (more
+    uses of the parameter) are added; a wanted slot that gets no term is
+    zero-filled.  That equals zero-fill-then-add except that a -0.0 first
+    term stays -0.0.  Cotangents flow only into nodes on a path from a
+    wanted parameter to the loss; every other gradient is skipped, and
+    the wanted ones come out bit-identical to an unpruned pass because
+    each needed node receives the same terms in the same order.
     """
     nd = graph._check(loss)
     if nd.shape != ():
         raise ShapeError(f"loss node must be scalar, got shape {nd.shape}")
     if acts is None or len(acts) != len(graph.nodes):
         raise GraphError("backward requires activations from a prior forward")
-    if wrt is None:
-        store.zero_grads()
-    else:
+    grads = store.grads
+    if wrt is not None:
         wrt = frozenset(wrt)
-        unknown = wrt.difference(store.grads)
+        unknown = wrt.difference(grads)
         if unknown:
             raise GraphError(f"unknown parameters in wrt: {sorted(unknown)}")
-        for name in wrt:
-            store.grads[name][...] = 0.0
     needed = graph._needed(loss, wrt)
-    if not needed[loss]:
-        return store.grads
     node_grads: list[np.ndarray | None] = [None] * (loss + 1)
-    node_grads[loss] = np.ones(())
+    if needed[loss]:
+        node_grads[loss] = np.ones(())
+    filled: set[str] = set()
 
     # No node gradient is ever written in place, so a first term is kept
     # without a copy even when it is shared (add passes g to both operands).
@@ -414,10 +485,16 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
         nd = graph.nodes[i]
         a = nd.args
         if nd.op == "param":
-            store.grads[nd.ref] += g
+            if nd.ref in filled:
+                grads[nd.ref] += g
+            else:
+                grads[nd.ref][...] = g
+                filled.add(nd.ref)
         elif nd.op == "affine":
             if needed[a[0]]:
-                acc(a[0], g @ acts[a[1]].T)
+                w = acts[a[1]]
+                # one column: each entry is a single product either way
+                acc(a[0], g * w.T if w.shape[1] == 1 else g @ w.T)
             if needed[a[1]]:
                 acc(a[1], acts[a[0]].T @ g)
             if needed[a[2]]:
@@ -428,8 +505,7 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
         elif nd.op == "relu":
             acc(a[0], g * (acts[a[0]] > 0.0))
         elif nd.op == "leaky_relu":
-            x = acts[a[0]]
-            acc(a[0], g * np.where(x > 0.0, 1.0, LEAKY_SLOPE))
+            acc(a[0], np.where(acts[a[0]] > 0.0, g, LEAKY_SLOPE * g))
         elif nd.op == "softmax_xent":
             logits, t = acts[a[0]], acts[a[1]]
             p = _softmax_rows(logits)
@@ -457,7 +533,10 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
             acc(a[0], g)
         else:  # pragma: no cover
             raise GraphError(f"unknown op {nd.op!r}")
-    return store.grads
+    empty = [n for n in grads if (wrt is None or n in wrt) and n not in filled]
+    for run in store.runs(empty):
+        run.grads[...] = 0.0
+    return grads
 
 
 def grad_check(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray],

@@ -102,23 +102,24 @@ class PrivacySpec:
 def clip_weights(store: ParamStore, c_p: float, names=None) -> None:
     """Project every parameter entry into [-c_p, c_p], in place."""
     check_clip(c_p)
-    for name in (store.names() if names is None else names):
-        arr = store.params[name]
-        np.clip(arr, -c_p, c_p, out=arr)
+    for run in store.runs(names):
+        np.clip(run.params, -c_p, c_p, out=run.params)
 
 
 def perturb_gradient(store: ParamStore, sigma: float, c_p: float,
                      rng: np.random.Generator, names=None) -> None:
     """Add i.i.d. Gaussian noise of standard deviation sigma * c_p to every
-    gradient entry, in place.  sigma = 0 leaves the slots untouched."""
+    gradient entry, in place.  sigma = 0 leaves the slots untouched.
+
+    One draw per run of the store covers its tensors in order, so the
+    entries get the same normals as one draw per tensor would."""
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return
     std = sigma * c_p
-    for name in (store.names() if names is None else names):
-        g = store.grads[name]
-        g += rng.normal(0.0, std, size=g.shape)
+    for run in store.runs(names):
+        np.add(run.grads, rng.normal(0.0, std, size=run.grads.size), out=run.grads)
 
 
 # -- log-moments of one noisy step -------------------------------------

@@ -7,6 +7,14 @@ with calibrated Gaussian noise and its weights are projected back into
 [-c_p, c_p] after every update.  The generator step additionally moves
 the recovery head, and the shared trunk through the code-recovery
 objective only, so no real-data gradient bypasses the noised path.
+
+The step is laid out to make few, large numpy calls with the same
+float64 arithmetic.  The nets' parameters share one buffer (see
+``ParamStore.union``), so RMSProp, noise, clipping and the sqrt(m)
+scaling each make one call per run: one run for the critic path, two
+for the generator step.  The generator's weights do not move during the
+n_d critic steps, so ``critic_round`` draws all n_d code batches first,
+in the order the steps would, and runs one generator forward over them.
 """
 from __future__ import annotations
 
@@ -114,17 +122,24 @@ class RMSProp:
 
     def __init__(self, lr: float):
         self.lr = lr
-        self.cache: dict[str, np.ndarray] = {}
+        self.cache: dict[tuple[str, ...], np.ndarray] = {}
 
-    def update(self, store: ParamStore, grads: dict[str, np.ndarray], names) -> None:
-        for name in names:
-            g = grads[name]
-            c = self.cache.get(name)
+    def update(self, store: ParamStore, names) -> None:
+        """Step ``names`` against the store's gradient slots.
+
+        The mean-square state is kept per run of ``store.runs(names)``, so
+        each call must split its names into the runs earlier calls did.
+        """
+        for run in store.runs(names):
+            c = self.cache.get(run.names)
             if c is None:
-                c = self.cache[name] = np.zeros_like(g)
+                if any(n in key for key in self.cache for n in run.names):
+                    raise ValueError(f"RMSProp state split differently: {run.names}")
+                c = self.cache[run.names] = np.zeros_like(run.grads)
+            p, g = run.params, run.grads
             c *= self.DECAY
             c += (1.0 - self.DECAY) * g * g
-            store.params[name] -= self.lr * g / (np.sqrt(c) + self.EPS)
+            p -= self.lr * g / (np.sqrt(c) + self.EPS)
 
 
 def critic_loss(g: Graph, real_scores: int, fake_scores: int) -> int:
@@ -218,12 +233,26 @@ class Trainer:
     last_wdist: float = 0.0
     last_critic_loss: float = 0.0
 
-    def critic_step(self, x_real: np.ndarray) -> None:
-        """One noisy, clipped critic update on a real batch."""
+    def critic_round(self, batches) -> None:
+        """The n_d critic updates of one generator iteration.
+
+        Draws the n_d code batches in the order n_d single steps would,
+        runs the generator once over them stacked, and gives each step its
+        slice with the next real batch.  Critic steps do not move the
+        generator, and each stacked row comes out of the products with the
+        same bits as a separate pass gives it.
+        """
         cfg = self.config
-        codes = sample_codes(cfg.latent, cfg.batch, self.codes_rng)
-        gg, g_in, g_out = self.gen._graph(cfg.batch)
-        x_fake = forward(gg, self.store, {"gen_in": codes.concat()})[g_out]
+        m = cfg.batch
+        codes = [sample_codes(cfg.latent, m, self.codes_rng).concat() for _ in range(cfg.n_d)]
+        gg, _, g_out = self.gen._graph(cfg.n_d * m)
+        fakes = forward(gg, self.store, {"gen_in": np.concatenate(codes)})[g_out]
+        for k in range(cfg.n_d):
+            self.critic_step(next(batches), fakes[k * m:(k + 1) * m])
+
+    def critic_step(self, x_real: np.ndarray, x_fake: np.ndarray) -> None:
+        """One noisy, clipped critic update on a real and a generated batch."""
+        cfg = self.config
         cg = self.critic_graph
         acts = forward(cg.graph, self.store, {"x_real": x_real, "x_fake": x_fake})
         loss_value = float(acts[cg.loss])
@@ -236,13 +265,14 @@ class Trainer:
             # summing the batch is one draw of std sigma c_p sqrt(m), applied
             # here on the sqrt(m)-scaled mean gradient and rescaled back.
             root_m = float(np.sqrt(cfg.batch))
-            for n in names:
-                self.store.grads[n] *= root_m
+            runs = self.store.runs(names)
+            for run in runs:
+                np.multiply(run.grads, root_m, out=run.grads)
             privacy.perturb_gradient(self.store, self.spec.sigma, self.spec.c_p,
                                      self.noise_rng, names)
-            for n in names:
-                self.store.grads[n] /= root_m
-        self.opt_critic.update(self.store, self.store.grads, names)
+            for run in runs:
+                np.divide(run.grads, root_m, out=run.grads)
+        self.opt_critic.update(self.store, names)
         privacy.clip_weights(self.store, self.spec.c_p, names)
 
     def generator_step(self) -> tuple[float, float]:
@@ -264,7 +294,7 @@ class Trainer:
         # the stored arrays.  The second pass leaves the gen.* slots alone.
         backward(sg.graph, self.store, acts, sg.loss, wrt=gen_names)
         backward(sg.graph, self.store, acts, sg.mi_loss, wrt=mi_names)
-        self.opt_gen.update(self.store, self.store.grads, gen_names + mi_names)
+        self.opt_gen.update(self.store, gen_names + mi_names)
         privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
         return loss_value, l_i
 
@@ -346,8 +376,7 @@ def train(config: TrainConfig, data: Dataset, on_iteration=None) -> TrainResult:
     for i in range(1, config.n_g + 1):
         t0 = time.perf_counter()
         try:
-            for _ in range(config.n_d):
-                trainer.critic_step(next(batches))
+            trainer.critic_round(batches)
             gen_loss, l_i = trainer.generator_step()
         except Exception as exc:
             raise RuntimeError(f"training failed at generator iteration {i}") from exc

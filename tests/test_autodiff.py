@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imdp.autodiff import (Graph, NonFiniteError, ParamStore, ShapeError,
+from imdp.autodiff import (LEAKY_SLOPE, Graph, NonFiniteError, ParamStore, ShapeError,
                            GraphError, _evaluate, as_tensor, backward, forward, grad_check)
 
 
@@ -228,6 +228,52 @@ class TestBackward:
         grads = backward(g, store, acts, loss)
         assert (grads["dead"] == 0.0).all()
 
+    def test_stale_slots_are_replaced_and_unreached_ones_zeroed(self):
+        x = np.random.default_rng(4).normal(size=(4, 3))
+        g, stale, _, out = affine_net([3, 5, 2], seed=3)
+        _, fresh, _, _ = affine_net([3, 5, 2], seed=3)
+        for store in (stale, fresh):
+            store.add("dead", np.ones(3))
+        for slot in stale.grads.values():
+            slot[...] = 7.0
+        loss = g.mean(out)
+        got = backward(g, stale, forward(g, stale, {"x": x}), loss)
+        want = backward(g, fresh, forward(g, fresh, {"x": x}), loss)
+        assert (got["dead"] == 0.0).all()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_leaky_relu_matches_select_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(64, 128))
+        x[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
+        t = rng.normal(size=x.shape)
+        g = Graph()
+        y = g.leaky_relu(g.param("w", x.shape))
+        loss = g.gaussian_loglik(y, g.input("t", x.shape))
+        store = ParamStore()
+        store.add("w", x)
+        acts = forward(g, store, {"t": t})
+        want_y = np.where(x > 0.0, x, LEAKY_SLOPE * x)
+        assert acts[y].tobytes() == want_y.tobytes()
+        cot = 1.0 * (t - want_y) / x.shape[0]
+        want_g = cot * np.where(x > 0.0, 1.0, LEAKY_SLOPE)
+        assert backward(g, store, acts, loss)["w"].tobytes() == want_g.tobytes()
+
+    def test_one_column_input_cotangent_matches_product(self):
+        rng = np.random.default_rng(9)
+        h, w, t = rng.normal(size=(320, 128)), rng.normal(size=(128, 1)), rng.normal(size=(320, 1))
+        g = Graph()
+        out = g.affine(g.param("h", h.shape), g.param("w", w.shape), g.param("b", (1,)))
+        loss = g.gaussian_loglik(out, g.input("t", t.shape))
+        store = ParamStore()
+        for name, value in (("h", h), ("w", w), ("b", np.zeros(1))):
+            store.add(name, value)
+        acts = forward(g, store, {"t": t})
+        cot = 1.0 * (t - acts[out]) / t.shape[0]
+        got = backward(g, store, acts, loss, wrt=["h"])["h"]
+        assert got.tobytes() == (cot @ w.T).tobytes()
+
     def test_random_two_layer_net_matches_finite_differences(self):
         g, store, _, out = affine_net([4, 6, 3], seed=3, batch=5)
         loss = g.mean(g.tanh(out))
@@ -430,7 +476,7 @@ class TestParamStore:
         x = np.random.default_rng(4).normal(size=(4, 3))
         g, lazy, _, out = affine_net([3, 5, 2], seed=3)
         _, ready, _, _ = affine_net([3, 5, 2], seed=3)
-        ready.zero_grads()
+        assert not any(slot.any() for slot in ready.grads.values())
         loss = g.mean(out)
         assert lazy._grads is None
         got = backward(g, lazy, forward(g, lazy, {"x": x}), loss)
@@ -438,6 +484,35 @@ class TestParamStore:
         assert list(got) == list(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_union_lays_members_out_in_one_buffer(self):
+        a, b = ParamStore(), ParamStore()
+        a.add("x", np.arange(6.0).reshape(2, 3))
+        b.add("y", np.ones(4))
+        b.grads["y"][...] = 2.0
+        u = ParamStore.union(a, b)
+        (run,) = u.runs()
+        assert run.names == ("x", "y") and run.params.size == run.grads.size == 10
+        for store in (a, b, u):
+            for name in store.params:
+                assert np.shares_memory(store.params[name], run.params), name
+                assert np.shares_memory(store.grads[name], run.grads), name
+        assert a.params["x"].tobytes() == np.arange(6.0).reshape(2, 3).tobytes()
+        assert (b.grads["y"] == 2.0).all() and not a.grads["x"].any()
+        run.params[-1] = 5.0
+        run.grads[0] = 3.0
+        assert b.params["y"][-1] == 5.0 and a.grads["x"][0, 0] == 3.0
+
+    def test_runs_merge_only_neighbours_in_a_buffer(self):
+        a = ParamStore()
+        for name in ("p", "q", "r"):
+            a.add(name, np.zeros(2))
+        assert [run.names for run in a.runs()] == [("p",), ("q",), ("r",)]
+        u = ParamStore.union(a)
+        assert [run.names for run in u.runs(["p", "r"])] == [("p",), ("r",)]
+        assert [run.names for run in u.runs(["q", "r", "p"])] == [("q", "r"), ("p",)]
+        a.add("s", np.zeros(2))
+        assert [run.names for run in a.runs()] == [("p", "q", "r"), ("s",)]
 
     def test_union_rejects_collisions(self):
         a, b = ParamStore(), ParamStore()

@@ -139,6 +139,23 @@ class TestPerturbGradient:
         perturb_gradient(b, 1.5, 0.01, np.random.default_rng(42))
         assert a.grads["w"].tobytes() == b.grads["w"].tobytes()
 
+    def test_runwise_draws_equal_per_tensor_draws(self):
+        a = store_with({"w": np.zeros((3, 4)), "b": np.zeros(4)})
+        b = store_with({"v": np.zeros((5, 2))})
+        u = ParamStore.union(a, b)
+        rng = np.random.default_rng(3)
+        for slot in u.grads.values():
+            slot[...] = rng.normal(size=slot.shape)
+        for names in (None, ["w", "v"]):
+            want = {n: g.copy() for n, g in u.grads.items()}
+            ref = np.random.default_rng(42)
+            for n in (u.names() if names is None else names):
+                want[n] += ref.normal(0.0, 1.5 * 0.01, size=want[n].shape)
+            perturb_gradient(u, 1.5, 0.01, np.random.default_rng(42), names)
+            for n in want:
+                assert u.grads[n].tobytes() == want[n].tobytes(), (names, n)
+        assert len(u.runs()) == 1 and len(u.runs(["w", "v"])) == 2
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             perturb_gradient(store_with({"w": np.zeros(1)}), -1.0, 0.01,

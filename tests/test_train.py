@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from imdp import privacy
+from imdp import train as train_module
 from imdp.autodiff import Graph, ParamStore, backward, forward
-from imdp.data import batch_iter, synth_mixture
+from imdp.data import Dataset, batch_iter, synth_mixture
 from imdp.latent import LatentSpec, sample_codes
-from imdp.nets import build_critic, build_generator, NetConfig
+from imdp.nets import build_critic, build_generator, generate, NetConfig
 from imdp.train import (MetricsLog, MetricsRecord, RMSProp, TrainConfig,
                         build_trainer, critic_loss, derive_seeds,
                         generator_loss, mi_objective, train,
@@ -110,7 +111,7 @@ class TestGeneratorLoss:
 class TestCriticStep:
     def test_zero_sigma_equals_plain_clipped_step(self):
         data = mixture()
-        cfg = small_config(epsilon=privacy.INF)
+        cfg = small_config(epsilon=privacy.INF, n_d=3)
         seeds = derive_seeds(cfg.seed)
 
         # reference: a hand-rolled clipped critic update with the same streams
@@ -132,23 +133,22 @@ class TestCriticStep:
             x_fake = forward(gg, store, {"gen_in": codes.concat()})[out]
             acts = forward(cg.graph, store, {"x_real": x_real, "x_fake": x_fake})
             backward(cg.graph, store, acts, cg.loss)
-            opt.update(store, store.grads, critic.critic_path_names())
+            opt.update(store, critic.critic_path_names())
             privacy.clip_weights(store, cfg.c_p, critic.critic_path_names())
 
+        # one round of n_d = 3 steps, its fakes from one stacked forward
         tr = build_trainer(cfg, data)
         tr_batches = batch_iter(data, cfg.batch, seeds["batches"])
-        for _ in range(3):
-            tr.critic_step(next(tr_batches))
+        tr.critic_round(tr_batches)
         for name in critic.critic_path_names():
             assert tr.store.params[name].tobytes() == store.params[name].tobytes()
 
     def test_weights_clipped_after_step(self):
         data = mixture()
-        cfg = small_config(epsilon=1.22, c_p=0.01)
+        cfg = small_config(epsilon=1.22, c_p=0.01, n_d=4)
         tr = build_trainer(cfg, data)
         batches = batch_iter(data, cfg.batch, derive_seeds(cfg.seed)["batches"])
-        for _ in range(4):
-            tr.critic_step(next(batches))
+        tr.critic_round(batches)
         worst = max(np.abs(tr.store.params[n]).max()
                     for n in tr.critic.critic_path_names())
         assert worst <= 0.01
@@ -161,22 +161,67 @@ class TestCriticStep:
         for n in others:
             tr.store.grads[n][...] = 7.0
         batches = batch_iter(data, 16, derive_seeds(1)["batches"])
-        tr.critic_step(next(batches))
+        codes = sample_codes(SPEC, 16, np.random.default_rng(0))
+        tr.critic_step(next(batches), generate(tr.gen, codes))
         for n in others:
             assert np.all(tr.store.grads[n] == 7.0)
 
     def test_same_seed_identical_weights(self):
         data = mixture()
-        cfg = small_config(epsilon=1.22)
+        cfg = small_config(epsilon=1.22, n_d=3)
         results = []
         for _ in range(2):
             tr = build_trainer(cfg, data)
             batches = batch_iter(data, cfg.batch, derive_seeds(cfg.seed)["batches"])
-            for _ in range(3):
-                tr.critic_step(next(batches))
+            tr.critic_round(batches)
             results.append({n: tr.store.params[n].copy() for n in tr.store.params})
         for name in results[0]:
             assert results[0][name].tobytes() == results[1][name].tobytes()
+
+
+class TestCriticRound:
+    @pytest.mark.parametrize("dim", [2, 784])
+    def test_stacked_fakes_equal_separate_generate_calls(self, dim):
+        if dim == 2:  # the acceptance trend shape
+            data = synth_mixture(k=8, radius=0.75, std=0.1, n=768, seed=1)
+            cfg = TrainConfig(n_g=1, batch=64, seed=2, epsilon=1.22, c_p=0.1,
+                              latent=LatentSpec(z_dim=8, categorical=(8,),
+                                                continuous=((-1.0, 1.0),)),
+                              gen_hidden=(64, 64), trunk_hidden=(128, 128))
+        else:  # the CLI's default nets on MNIST-sized features
+            data = Dataset(np.random.default_rng(3).uniform(-1.0, 1.0, size=(128, 784)))
+            cfg = TrainConfig(n_g=1, batch=64, seed=2,
+                              latent=LatentSpec(z_dim=62, categorical=(10,),
+                                                continuous=((-1.0, 1.0),)))
+        tr = build_trainer(cfg, data)
+        seen = []
+        tr.critic_step = lambda x_real, x_fake: seen.append(x_fake.copy())
+        tr.critic_round(batch_iter(data, cfg.batch, 0))
+        rng = np.random.default_rng(derive_seeds(cfg.seed)["codes"])
+        assert len(seen) == cfg.n_d
+        for x_fake in seen:
+            want = generate(tr.gen, sample_codes(cfg.latent, cfg.batch, rng))
+            assert x_fake.tobytes() == want.tobytes()
+
+    def test_one_iteration_runs_seven_forward_passes(self, monkeypatch):
+        calls = []
+
+        def counted(graph, store, inputs):
+            calls.append(len(graph))
+            return forward(graph, store, inputs)
+
+        monkeypatch.setattr(train_module, "forward", counted)
+        cfg = small_config(n_g=1)
+        train(cfg, mixture())
+        # one stacked generator pass, n_d critic passes, one generator-step pass
+        assert len(calls) == 1 + cfg.n_d + 1 == 7
+
+    def test_updates_walk_one_critic_run_and_two_generator_step_runs(self):
+        tr = build_trainer(small_config(), mixture())
+        assert len(tr.store.runs(tr.critic.critic_path_names())) == 1
+        gen_step = [*tr.gen.param_names(), *tr.critic.trunk_names(),
+                    *tr.critic.q_head_names()]
+        assert len(tr.store.runs(gen_step)) == 2
 
 
 def assert_wrt_pass_matches_full(graph, store, acts, loss, wrt):
@@ -332,7 +377,7 @@ class TestTrain:
                 x_fake = forward(gg, store, {"gen_in": codes.concat()})[out]
                 acts = forward(cg.graph, store, {"x_real": x_real, "x_fake": x_fake})
                 backward(cg.graph, store, acts, cg.loss)
-                opt_c.update(store, store.grads, critic_names)
+                opt_c.update(store, critic_names)
                 privacy.clip_weights(store, cfg.c_p, critic_names)
             codes = sample_codes(cfg.latent, cfg.batch, codes_rng)
             inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
@@ -341,9 +386,10 @@ class TestTrain:
             backward(sg.graph, store, acts, sg.loss)
             g1 = {n: store.grads[n].copy() for n in gen.param_names()}
             backward(sg.graph, store, acts, sg.mi_loss)
-            g2 = {n: store.grads[n].copy() for n in mi_names}
-            opt_g.update(store, g1, gen.param_names())
-            opt_g.update(store, g2, mi_names)
+            for n, g in g1.items():
+                store.grads[n][...] = g
+            opt_g.update(store, gen.param_names())
+            opt_g.update(store, mi_names)
             privacy.clip_weights(store, cfg.c_p, critic_names)
         for name in store.params:
             assert result.gen.store.params.get(name, result.critic.store.params.get(name)).tobytes() \
@@ -400,11 +446,23 @@ class TestRMSProp:
         store = ParamStore()
         store.add("w", np.array([1.0]))
         opt = RMSProp(lr=0.1)
-        opt.update(store, {"w": np.array([1.0])}, ["w"])
+        store.grads["w"][...] = 1.0
+        opt.update(store, ["w"])
         assert store.params["w"][0] < 1.0
+
+    def test_state_split_differently_rejected(self):
+        store = ParamStore()
+        store.add("v", np.array([1.0]))
+        store.add("w", np.array([1.0]))
+        store = ParamStore.union(store)
+        opt = RMSProp(lr=0.1)
+        opt.update(store, ["v"])
+        with pytest.raises(ValueError):
+            opt.update(store, ["v", "w"])
 
     def test_zero_gradient_is_noop(self):
         store = ParamStore()
         store.add("w", np.array([1.0]))
-        RMSProp(lr=0.1).update(store, {"w": np.array([0.0])}, ["w"])
+        store.grads["w"][...] = 0.0
+        RMSProp(lr=0.1).update(store, ["w"])
         assert store.params["w"][0] == 1.0
