@@ -369,16 +369,16 @@ def cmd_accountant(args) -> int:
         raise ConfigError("accountant needs --sigma or --epsilon")
     else:
         sigma = calibrate_sigma(_to_float("epsilon", args.epsilon), delta, q, n_d)
-    print(f"sigma = {sigma:.6g}")
     if sigma == 0.0:
-        print("non-private configuration; nothing to account")
+        print(f"sigma = {sigma:.6g}\nnon-private configuration; nothing to account")
         return EXIT_OK
-    state = AccountantState.create(q, sigma)
-    state = accumulate(state, steps)
-    print(f"steps = {state.steps}")
-    alphas = " ".join(f"{a:.6g}" for a in state.log_moments)
-    print(f"alpha(1..{state.lambda_max}) = {alphas}")
-    print(f"spent_epsilon(delta={delta:g}) = {spent_epsilon(state, delta):.6g}")
+    # every value is checked, delta by spent_epsilon, before anything is printed
+    state = accumulate(AccountantState.create(q, sigma), steps)
+    spent = spent_epsilon(state, delta)
+    alphas = " ".join([f"{a:.6g}" for a in state.log_moments.tolist()])
+    print(f"sigma = {sigma:.6g}\nsteps = {state.steps}\n"
+          f"alpha(1..{state.lambda_max}) = {alphas}\n"
+          f"spent_epsilon(delta={delta:g}) = {spent:.6g}")
     return EXIT_OK
 
 

@@ -359,10 +359,19 @@ class TimingReport:
 
 
 def timing_overhead(config: TrainConfig, data: Dataset) -> TimingReport:
-    """Wall-clock of the private path against the matched non-private path."""
+    """Wall-clock of the private path against the matched non-private path.
+
+    Each side runs its ``n_g`` iterations as up to five near-equal
+    ``train`` calls, alternating with the other side's and swapping which
+    side goes first, and sums their wall time.  A swing in machine speed
+    then lands on both sides alike."""
     if config.epsilon == float("inf"):
         raise ValueError("config must request a finite privacy level")
-    private = train(config, data)
-    nonprivate = train(replace(config, epsilon=float("inf")), data)
-    return TimingReport(private_ms=private.wall_seconds * 1e3,
-                        nonprivate_ms=nonprivate.wall_seconds * 1e3)
+    parts = max(1, min(5, config.n_g))
+    sides = [config, replace(config, epsilon=float("inf"))]
+    seconds = [0.0, 0.0]
+    for i in range(parts):
+        n_g = config.n_g // parts + (i < config.n_g % parts)
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            seconds[side] += train(replace(sides[side], n_g=n_g), data).wall_seconds
+    return TimingReport(private_ms=seconds[0] * 1e3, nonprivate_ms=seconds[1] * 1e3)

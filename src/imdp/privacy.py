@@ -12,8 +12,9 @@ single claim.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +24,16 @@ INF = float("inf")
 LAMBDA_MAX = 32
 
 
+def check_delta(delta: float) -> None:
+    """The range rule of delta: in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def check_level(epsilon: float, delta: float) -> None:
     """The range rules of a privacy level: epsilon positive or infinite,
     delta in (0, 1).  Every consumer of a level calls this one check."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     if not (epsilon == INF or epsilon > 0.0):
         raise ValueError("epsilon must be positive or infinite")
 
@@ -124,48 +130,67 @@ def perturb_gradient(store: ParamStore, sigma: float, c_p: float,
 
 # -- log-moments of one noisy step -------------------------------------
 
-# log(j!) = lgamma(j + 1) for j = 0..LAMBDA_MAX+1, all the sums up to
-# order LAMBDA_MAX need
-_LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(LAMBDA_MAX + 2)])
+@functools.lru_cache(maxsize=64)
+def _order_tables(first: int, last: int) -> tuple[np.ndarray, ...]:
+    """The parts of the sums over orders first..last that q and sigma do
+    not touch, built once per process for each order range (the 64 most
+    recently used ranges are kept).
+
+    Row lam - first holds k = 0..last+1 with n = lam+1: the log binomial
+    ``lgC(n, k)`` (-inf past k = n, where the term is 0), ``n - k``, ``k``
+    and ``k^2 - k``.  The integers are held as float64, which they equal
+    exactly, so products with them round as products with ints do.  The
+    arrays are shared by every query, so they are read-only.
+    """
+    n = np.arange(first, last + 1)[:, None] + 1
+    k = np.arange(last + 2)
+    nk = n - k
+    past = nk < 0
+    log_fact = np.array([math.lgamma(j + 1) for j in range(last + 2)])
+    binom = log_fact[n] - log_fact[k] - log_fact[np.where(past, 0, nk)]
+    binom[past] = -math.inf
+    tables = (binom, nk.astype(np.float64), k.astype(np.float64),
+              (k * k - k).astype(np.float64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _log_moments(q: float, sigma: float, lams: range) -> list[float]:
-    """alpha(lam) for each order in ``lams``, as ``step_log_moment`` defines it.
+def _log_moments(q: float, sigma: float, first: int, last: int) -> list[float]:
+    """alpha(lam) for lam = first..last, as ``step_log_moment`` defines it.
 
-    Row lam of a term matrix holds the summands k = 0..lam+1 in log
-    space, each formed by the same IEEE operations in the same order as
+    Row lam - first of a term matrix holds the summands k = 0..last+1 in
+    log space, each formed by the same IEEE operations in the same order as
     the scalar sum ``lgC + (n-k) log(1-q) + k log q + (k^2-k) / (2 sigma^2)``
-    with n = lam+1; cells past k = n are -inf.  ``math.exp`` (exactly 0
-    on -inf), ``math.fsum`` and ``math.log`` then finish each row, so the
-    result is bit-identical to summing each order on its own.
+    with n = lam+1.  Past k = n the cached log binomial is -inf, and so is
+    the sum, as every other term is finite.  ``math.exp``, ``math.fsum``
+    and ``math.log`` then finish each row over its k = 0..n cells; the
+    cells left out would add exact zeros.  So the result is bit-identical
+    to summing each order on its own.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    if first < 1:
+        raise ValueError("lam must be >= 1")
     inv = 0.5 / sigma / sigma
-    for lam in lams:
-        if lam < 1:
-            raise ValueError("lam must be >= 1")
-        if not math.isfinite(lam * (lam + 1) * inv):
-            raise ValueError(f"sigma={sigma!r} too small: the order-{lam} moment "
-                             "overflows float64")
+    orders = range(first, last + 1)
+    if not math.isfinite(last * (last + 1) * inv):
+        # lam (lam+1) inv grows with lam: name the first order that overflows
+        lam = next(lam for lam in orders if not math.isfinite(lam * (lam + 1) * inv))
+        raise ValueError(f"sigma={sigma!r} too small: the order-{lam} moment "
+                         "overflows float64")
     if q == 1.0:
-        return [lam * (lam + 1) * inv for lam in lams]  # only k = lam+1 survives
-    n = np.array(lams)[:, None] + 1
-    k = np.arange(lams[-1] + 2)
-    nk = n - k
-    past = nk < 0
-    log_fact = (_LOG_FACTORIAL if len(k) <= len(_LOG_FACTORIAL)
-                else np.array([math.lgamma(j + 1) for j in range(len(k))]))
-    terms = log_fact[n] - log_fact[k] - log_fact[np.where(past, 0, nk)]
-    terms += nk * math.log1p(-q)
+        return [lam * (lam + 1) * inv for lam in orders]  # only k = lam+1 survives
+    binom, nk, k, kk = _order_tables(first, last)
+    terms = binom + nk * math.log1p(-q)
     terms += k * math.log(q)
-    terms += (k * k - k) * inv
-    terms[past] = -math.inf
+    terms += kk * inv
     tops = terms.max(axis=1)
-    return [max(top + math.log(math.fsum(map(math.exp, row))), 0.0)
-            for top, row in zip(tops.tolist(), (terms - tops[:, None]).tolist())]
+    terms -= tops[:, None]
+    return [max(top + math.log(math.fsum(map(math.exp, row[:lam + 2]))), 0.0)
+            for top, row, lam in zip(tops.tolist(), terms.tolist(), orders)]
 
 
 def step_log_moment(q: float, sigma: float, lam: int) -> float:
@@ -182,7 +207,7 @@ def step_log_moment(q: float, sigma: float, lam: int) -> float:
     the moment of the step.  A sigma so small that the k = lam+1 exponent
     overflows float64 is rejected.
     """
-    return _log_moments(q, sigma, range(lam, lam + 1))[0]
+    return _log_moments(q, sigma, lam, lam)[0]
 
 
 @dataclass(frozen=True)
@@ -196,24 +221,36 @@ class AccountantState:
 
     @classmethod
     def create(cls, q: float, sigma: float) -> "AccountantState":
-        moments = np.array(_log_moments(q, sigma, range(1, LAMBDA_MAX + 1)))
+        moments = np.array(_log_moments(q, sigma, 1, LAMBDA_MAX))
         return cls(q=q, sigma=sigma, steps=0, step_moments=moments)
 
     @property
     def lambda_max(self) -> int:
         return len(self.step_moments)
 
-    @property
+    @functools.cached_property
     def log_moments(self) -> np.ndarray:
-        """alpha(lam) accumulated over all recorded steps."""
-        return self.steps * self.step_moments
+        """alpha(lam) accumulated over all recorded steps; computed once
+        per state and read-only."""
+        moments = self.steps * self.step_moments
+        moments.flags.writeable = False
+        return moments
 
 
 def accumulate(state: AccountantState, steps: int) -> AccountantState:
     """Record additional noisy steps; moments compose additively."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    return replace(state, steps=state.steps + steps)
+    return AccountantState(q=state.q, sigma=state.sigma, steps=state.steps + steps,
+                           step_moments=state.step_moments)
+
+
+@functools.lru_cache(maxsize=64)
+def _orders(count: int) -> np.ndarray:
+    """The orders 1..count as read-only float64, which they equal exactly."""
+    orders = np.arange(1.0, count + 1)
+    orders.flags.writeable = False
+    return orders
 
 
 def spent_epsilon(state: AccountantState, delta: float) -> float:
@@ -222,7 +259,6 @@ def spent_epsilon(state: AccountantState, delta: float) -> float:
     With zero steps this floors at log(1/delta) / lambda_max, the
     smallest epsilon the finite moment range can certify.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    lams = np.arange(1, state.lambda_max + 1)
-    return float(np.min((state.log_moments + math.log(1.0 / delta)) / lams))
+    check_delta(delta)
+    return float(np.min((state.log_moments + math.log(1.0 / delta))
+                        / _orders(state.lambda_max)))

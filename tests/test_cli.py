@@ -578,6 +578,22 @@ class TestCmdAccountant:
                    for lam in range(1, 33))
         assert f"spent_epsilon(delta=1e-05) = {want:.6g}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", ["0", "1", "nan"])
+    def test_bad_delta_with_sigma_rejected_before_any_output(self, capsys, delta):
+        code = main(["accountant", "--q", "0.5", "--sigma", "1", "--steps", "1",
+                     "--delta", delta])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "imdp: error: validation: delta must lie in (0, 1)\n"
+
+    @pytest.mark.parametrize("flags", [["--q", "2", "--sigma", "1"],
+                                       ["--q", "0.5", "--sigma", "nan"],
+                                       ["--q", "0.5", "--sigma", "1e-200"]])
+    def test_bad_q_or_sigma_rejected_before_any_output(self, capsys, flags):
+        assert main(["accountant", "--steps", "1", *flags]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
     def test_sigma_beyond_float_range_rejected(self, capsys):
         code = main(["accountant", "--sigma", "1e-200", "--q", "0.5", "--steps", "1"])
         assert code == EXIT_VALIDATION

@@ -2,10 +2,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from imdp import evaluation
 from imdp.data import Dataset, synth_mixture
 from imdp.evaluation import (Classifier, CurveStats, SweepGrid, UtilityReport,
                              UtilityRow, code_sweep, curve_stats, dataset_sha256,
@@ -300,3 +302,24 @@ class TestTimingOverhead:
         assert report.private_ms > 0.0
         assert report.nonprivate_ms > 0.0
         assert report.ratio == report.private_ms / report.nonprivate_ms
+
+    @pytest.mark.parametrize("n_g,sizes", [(0, [0]), (3, [1, 1, 1]), (7, [2, 2, 1, 1, 1]),
+                                           (12, [3, 3, 2, 2, 2]), (250, [50] * 5)])
+    def test_sides_alternate_in_near_equal_segments(self, monkeypatch, n_g, sizes):
+        calls = []
+
+        def fake_train(config, data):
+            calls.append((config.epsilon, config.n_g))
+            return SimpleNamespace(wall_seconds=1.0 if config.epsilon == 1.22 else 0.25)
+
+        monkeypatch.setattr(evaluation, "train", fake_train)
+        cfg = TrainConfig(n_g=n_g, batch=16, epsilon=1.22, latent=SPEC)
+        report = timing_overhead(cfg, synth_mixture(k=8, radius=0.75, std=0.05, n=64, seed=9))
+        want = []
+        for i, size in enumerate(sizes):
+            pair = [(1.22, size), (float("inf"), size)]
+            want += pair if i % 2 == 0 else pair[::-1]
+        assert calls == want
+        assert sum(size for _, size in calls) == 2 * n_g
+        assert report.private_ms == len(sizes) * 1e3
+        assert report.nonprivate_ms == len(sizes) * 250.0

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdp.autodiff import ParamStore
-from imdp.privacy import (INF, LAMBDA_MAX, AccountantState, PrivacySpec, accumulate,
-                          calibrate_sigma, clip_weights, perturb_gradient,
-                          spent_epsilon, step_log_moment)
+from imdp.privacy import (INF, LAMBDA_MAX, AccountantState, PrivacySpec, _log_moments,
+                          _order_tables, _orders, accumulate, calibrate_sigma, clip_weights,
+                          perturb_gradient, spent_epsilon, step_log_moment)
 
 # frozen from a 40-digit desk calculation of 2 q sqrt(n_d log(1/delta)) / eps
 # at delta=1e-5, q=64/60000, n_d=5
@@ -276,6 +278,60 @@ class TestLogMomentBitIdentity:
                 assert str(got.value) == str(exc)
             else:
                 assert step_log_moment(0.5, sigma, lam) == want_value
+
+
+class TestOrderTables:
+    """The tables cached per order range carry nothing from one query to
+    the next, and nothing can write into them."""
+
+    QUERIES = [  # (q, sigma, first order, last order)
+        (64 / 768, 1.036, 1, LAMBDA_MAX),
+        (64 / 60000, 0.0029, 5, 9),
+        (0.5, 2.0, LAMBDA_MAX + 1, 40),
+        (0.25, 0.43, 1, LAMBDA_MAX),
+        (64 / 768, 1.036, 5, 9),
+        (1.0, 2.0, 3, 3),
+        (64 / 60000, 0.0029, 1, LAMBDA_MAX),
+        (1 / 16, 1e-7, 2, LAMBDA_MAX + 3),
+        (0.5, 2.0, 1, 1),
+    ]
+
+    def test_interleaved_queries_equal_scalar_sums(self):
+        for _ in range(2):
+            for q, sigma, first, last in self.QUERIES:
+                want = [scalar_log_moment(q, sigma, lam) for lam in range(first, last + 1)]
+                assert _log_moments(q, sigma, first, last) == want
+                assert step_log_moment(q, sigma, last) == want[-1]
+                assert step_log_moment(q, sigma, first) == want[0]
+                full = [scalar_log_moment(q, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)]
+                assert AccountantState.create(q, sigma).step_moments.tolist() == full
+
+    @pytest.mark.parametrize("first,last", [(1, LAMBDA_MAX), (5, 9), (LAMBDA_MAX + 1, 40)])
+    def test_cached_arrays_are_read_only(self, first, last):
+        _log_moments(0.25, 0.43, first, last)
+        tables = _order_tables(first, last)
+        assert tables is _order_tables(first, last)
+        for table in (*tables, _orders(LAMBDA_MAX)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        state = accumulate(AccountantState.create(0.25, 0.43), 3)
+        assert state.log_moments is state.log_moments
+        with pytest.raises(ValueError):
+            state.log_moments[0] = 0.0
+
+    def test_tables_hold_minus_inf_exactly_past_k_equals_n(self):
+        binom, nk, k, kk = _order_tables(1, LAMBDA_MAX)
+        assert binom.shape == (LAMBDA_MAX, LAMBDA_MAX + 2)
+        np.testing.assert_array_equal(np.isneginf(binom), nk < 0)
+        assert np.isfinite(binom[nk >= 0]).all()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           sigma=st.floats(min_value=0.003, max_value=10.0))
+    def test_property_every_order_equals_scalar_sum(self, q, sigma):
+        want = [scalar_log_moment(q, sigma, lam) for lam in range(1, LAMBDA_MAX + 1)]
+        assert AccountantState.create(q, sigma).step_moments.tolist() == want
 
 
 class TestStepLogMoment:
