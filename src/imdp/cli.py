@@ -24,7 +24,7 @@ from .data import DataFormatError, Dataset, load_idx_images, load_idx_labels, sy
 from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
-from .privacy import AccountantState, accumulate, calibrate_sigma, spent_epsilon
+from .privacy import AccountantState, accumulate, calibrate_sigma, check_epsilon, spent_epsilon
 from .train import TrainConfig, build_trainer, keep_freed_heap, train
 
 EXIT_OK = 0
@@ -89,11 +89,14 @@ def _parse_kv_text(text: str, where: str) -> dict[str, str]:
     return out
 
 
-def _to_int(key: str, value: str) -> int:
+def _to_int(key: str, value: str, least: int | None = None) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected integer, got {value!r}") from exc
+    if least is not None and n < least:
+        raise ConfigError(f"{key} must be >= {least}, got {n}")
+    return n
 
 
 def _to_float(key: str, value: str) -> float:
@@ -116,10 +119,7 @@ class ResolvedConfig:
     values: tuple[tuple[str, str], ...]
 
     def get(self, key: str) -> str:
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.values)[key]
 
     def canonical_text(self) -> str:
         return "\n".join(f"{k}={v}" for k, v in self.values) + "\n"
@@ -311,12 +311,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    per_class = _to_int("per-class", args.per_class, least=1)
+    map_samples = _to_int("map-samples", args.map_samples, least=1)
+    epochs = _to_int("epochs", args.epochs, least=1)
     models = {}
     for item in args.model:
         eps_raw, sep, path = item.partition("=")
         if not sep:
             raise ConfigError(f"--model expects EPS=PATH, got {item!r}")
         eps = _to_float("model epsilon", eps_raw)
+        check_epsilon(eps)
+        if eps in models:
+            raise ConfigError(f"--model: two models at epsilon {eps!r}")
         bundle = load_checkpoint(path)
         models[eps] = (bundle.gen, bundle.critic)
     if not models:
@@ -330,7 +336,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluation dataset needs labels")
     rng = np.random.default_rng(int(args.seed))
     order = rng.permutation(real.n)
-    n_map = min(int(args.map_samples), real.n // 2)
+    n_map = min(map_samples, real.n // 2)
     map_data = Dataset._trusted(real.x[order[:n_map]], real.y[order[:n_map]],
                                 source=f"{real.source}|map")
     # select the pair's held-out rows on indices, so only they are decoded
@@ -340,8 +346,7 @@ def cmd_evaluate(args) -> int:
                                  source=f"{real.source}|test")
     report = utility_privacy_curve(models, pair=pair, real_test=test_data,
                                    map_data=map_data,
-                                   per_class=int(args.per_class),
-                                   epochs=int(args.epochs), seed=int(args.seed))
+                                   per_class=per_class, epochs=epochs, seed=int(args.seed))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "utility.csv")
@@ -358,9 +363,7 @@ def cmd_accountant(args) -> int:
     delta = _to_float("delta", args.delta)
     q = _to_float("q", args.q)
     n_d = _to_int("nd", args.nd)
-    steps = _to_int("steps", args.steps)
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
+    steps = _to_int("steps", args.steps, least=0)
     if args.sigma is not None:
         sigma = _to_float("sigma", args.sigma)
         if sigma <= 0.0:
@@ -383,12 +386,8 @@ def cmd_accountant(args) -> int:
 
 
 def _flag_overrides(args) -> dict[str, str]:
-    out = {}
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[key] = str(value)
-    return out
+    values = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
+    return {key: str(value) for key, value in values.items() if value is not None}
 
 
 @functools.cache

@@ -7,20 +7,24 @@ replacement so the per-batch inclusion probability matches the sampling
 ratio used by the privacy accounting.
 
 IDX images stay bytes: the header and the file size are checked before
-anything is allocated, then the payload is read once into a read-only
-``uint8 (N, rows*cols)`` array.  A ``Dataset`` from an IDX file holds an
-``IdxFeatures`` view of it, which has the float64 matrix's shape, ndim
-and dtype and decodes only the rows it is indexed with, as
-``pixels / 127.5 - 1.0``.  On all 256 byte values that is bit-identical
-to ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0`` and finite in
-[-1, 1], so the view skips ``Dataset``'s finiteness and range scans, as
-do the evaluate command's row selections and label attachment of an
-already validated ``Dataset``.  Memory is the pixels plus the rows a
+anything is mapped, then the pixels are a ``uint8 (N, rows*cols)`` view
+of a read-only map of the file.  Pages load on first touch and are shared
+with other processes through the page cache.  So a loaded dataset is a
+view of its file: replacing the file by rename is safe, but rewriting or
+truncating it in place during a run is unsupported.  A ``Dataset`` from
+an IDX file holds an ``IdxFeatures`` view of the pixels, which has the
+float64 matrix's shape, ndim and dtype and decodes only the rows it is
+indexed with, as ``pixels / 127.5 - 1.0``.  On all 256 byte values that
+is bit-identical to ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0``
+and finite in [-1, 1], so the view skips ``Dataset``'s finiteness and
+range scans, as do the evaluate command's row selections and label
+attachment of an already validated ``Dataset``.  Memory is the rows a
 caller selects; ``np.asarray`` on the view decodes the whole matrix.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -118,7 +122,7 @@ def _read_be_u32(data: bytes, offset: int) -> int:
 
 
 def load_idx_images(path) -> Dataset:
-    """Parse an IDX image file into flattened, rescaled features held as bytes."""
+    """Parse an IDX image file into flattened, rescaled features over a read-only map of it."""
     with open(path, "rb") as f:
         head = f.read(16)
         magic = _read_be_u32(head, 0)
@@ -130,21 +134,13 @@ def load_idx_images(path) -> Dataset:
         if n < 1 or rows < 1 or cols < 1 or rows * cols > 1 << 24:
             raise DataFormatError(f"implausible IDX dimensions ({n}, {rows}, {cols})")
         total = n * rows * cols
-
-        def wrong_size(held: int) -> DataFormatError:
-            return DataFormatError(f"IDX payload holds {held} bytes, expected {total}")
-
         size = os.fstat(f.fileno()).st_size
         if size != 16 + total:
-            raise wrong_size(size - 16)
-        pixels = np.empty((n, rows * cols), dtype=np.uint8)
-        got = f.readinto(pixels)
-        if got != total:
-            raise wrong_size(got)
-        if f.read(1):
-            raise wrong_size(os.fstat(f.fileno()).st_size - 16)
-    pixels.flags.writeable = False
-    return Dataset._trusted(IdxFeatures(pixels), source=f"idx:{path}")
+            raise DataFormatError(f"IDX payload holds {size - 16} bytes, expected {total}")
+        # the array keeps the read-only map alive; it outlives the file object
+        pixels = np.frombuffer(mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ),
+                               dtype=np.uint8, count=total, offset=16)
+    return Dataset._trusted(IdxFeatures(pixels.reshape(n, rows * cols)), source=f"idx:{path}")
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -187,14 +183,10 @@ def synth_mixture(k: int, radius: float, std: float, n: int, seed: int) -> Datas
     counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
     angles = 2.0 * np.pi * np.arange(k) / k
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    xs, ys = [], []
-    for j in range(k):
-        pts = means[j] + std * rng.standard_normal((counts[j], 2))
-        xs.append(pts)
-        ys.append(np.full(counts[j], j, dtype=np.int64))
+    xs = [means[j] + std * rng.standard_normal((counts[j], 2)) for j in range(k)]
     scale = 1.0 / (radius + 3.0 * std)
     x = np.clip(np.concatenate(xs) * scale, -1.0, 1.0)
-    return Dataset(x=x, y=np.concatenate(ys),
+    return Dataset(x=x, y=np.repeat(np.arange(k, dtype=np.int64), counts),
                    source=f"mixture:k={k},radius={radius},std={std},n={n},seed={seed}")
 
 

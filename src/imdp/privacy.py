@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,17 @@ def check_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The range rule of epsilon: positive or infinite."""
+    if not (epsilon == INF or epsilon > 0.0):
+        raise ValueError("epsilon must be positive or infinite")
+
+
 def check_level(epsilon: float, delta: float) -> None:
     """The range rules of a privacy level: epsilon positive or infinite,
     delta in (0, 1).  Every consumer of a level calls this one check."""
     check_delta(delta)
-    if not (epsilon == INF or epsilon > 0.0):
-        raise ValueError("epsilon must be positive or infinite")
+    check_epsilon(epsilon)
 
 
 def check_clip(c_p: float) -> None:
@@ -241,6 +247,8 @@ def accumulate(state: AccountantState, steps: int) -> AccountantState:
     """Record additional noisy steps; moments compose additively."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if state.steps + steps > sys.float_info.max:  # the moments are its float products
+        raise ValueError(f"steps must total at most {sys.float_info.max:g}")
     return AccountantState(q=state.q, sigma=state.sigma, steps=state.steps + steps,
                            step_moments=state.step_moments)
 

@@ -531,6 +531,51 @@ class TestCmdEvaluate:
         assert code == EXIT_VALIDATION
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    out = root / "out"
+    assert main(["train", "--config", fast_config_file(root), "--out", str(out)]) == EXIT_OK
+    return str(next(out.iterdir()) / "checkpoint.ckpt")
+
+
+class TestCmdEvaluateRejectsBadFlags:
+    """Each bad value exits 1 with a message naming what is wrong, and
+    nothing is written under --out."""
+
+    def reject(self, tmp_path, capsys, ckpt, extra, message):
+        out = tmp_path / "eval"
+        code = main(["evaluate", *(["--model", f"inf={ckpt}"] if ckpt else []),
+                     "--pair", "0,1", "--dataset", "mixture:k=4,n=200,std=0.1,seed=2",
+                     "--per-class", "8", "--epochs", "1", "--out", str(out), *extra])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"imdp: error: validation: {message}\n"
+        assert not out.exists()
+
+    def test_negative_epochs(self, tmp_path, capsys, trained_checkpoint):
+        self.reject(tmp_path, capsys, trained_checkpoint, ["--epochs", "-1"],
+                    "epochs must be >= 1, got -1")
+
+    def test_negative_map_samples(self, tmp_path, capsys, trained_checkpoint):
+        self.reject(tmp_path, capsys, trained_checkpoint, ["--map-samples", "-5"],
+                    "map-samples must be >= 1, got -5")
+
+    def test_zero_per_class(self, tmp_path, capsys, trained_checkpoint):
+        self.reject(tmp_path, capsys, trained_checkpoint, ["--per-class", "0"],
+                    "per-class must be >= 1, got 0")
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1", "-inf"])
+    def test_model_epsilon_outside_the_epsilon_rule(self, tmp_path, capsys,
+                                                    trained_checkpoint, eps):
+        self.reject(tmp_path, capsys, None, [f"--model={eps}={trained_checkpoint}"],
+                    "epsilon must be positive or infinite")
+
+    def test_two_models_at_one_epsilon(self, tmp_path, capsys, trained_checkpoint):
+        self.reject(tmp_path, capsys, trained_checkpoint,
+                    ["--model", f"Infinity={trained_checkpoint}"],
+                    "--model: two models at epsilon inf")
+
+
 class TestCmdAccountant:
     def test_prints_calibrated_sigma(self, capsys):
         code = main(["accountant", "--epsilon", "2.2", "--delta", "1e-5",
@@ -593,6 +638,13 @@ class TestCmdAccountant:
     def test_bad_q_or_sigma_rejected_before_any_output(self, capsys, flags):
         assert main(["accountant", "--steps", "1", *flags]) == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
+
+    def test_steps_beyond_float_range_rejected_before_any_output(self, capsys):
+        code = main(["accountant", "--q", "0.5", "--sigma", "1", "--steps", "1" + "0" * 400])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "imdp: error: validation: steps must total at most 1.79769e+308\n"
 
     def test_sigma_beyond_float_range_rejected(self, capsys):
         code = main(["accountant", "--sigma", "1e-200", "--q", "0.5", "--steps", "1"])

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -116,6 +117,8 @@ class TestIdxDecode:
         with pytest.raises(ValueError):
             x.pixels[0, 0] = 1  # the bytes are read-only
         with pytest.raises(ValueError):
+            x.pixels.flags.writeable = True  # and cannot be made writeable
+        with pytest.raises(ValueError):
             np.asarray(x, copy=False)
 
     def test_batch_rows_match_whole_array_decode(self, tmp_path):
@@ -130,20 +133,31 @@ class TestIdxDecode:
             assert batch.dtype == np.float64 and batch.flags.c_contiguous
             assert batch.tobytes() == want[rng.integers(0, 50, size=16)].tobytes()
 
-    def test_peak_memory_is_pixels_plus_16_kib(self, tmp_path):
-        n = 2000
+    def test_peak_memory_is_independent_of_file_size(self, tmp_path):
+        n = 6400  # a 5.0 MB payload
         imgs = np.random.default_rng(16).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
         path = tmp_path / "images.idx"
         write_idx_images(path, imgs)
-        del imgs
         tracemalloc.start()
         try:
             ds = load_idx_images(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 16 KiB covers the file object's read buffer and interpreter objects.
-        assert peak <= ds.x.pixels.nbytes + 16 * 1024
+        # the pixels are a map of the file, not a heap copy; 64 KiB covers
+        # the file object's read buffer and interpreter objects
+        assert peak <= 64 * 1024
+        assert ds.x.pixels.tobytes() == imgs.tobytes()
+
+    def test_rows_survive_replacing_the_file_by_rename(self, tmp_path):
+        imgs = np.random.default_rng(22).integers(0, 256, size=(40, 28, 28), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        x = load_idx_images(path).x
+        write_idx_images(tmp_path / "next.idx", 255 - imgs)
+        os.replace(tmp_path / "next.idx", path)
+        assert np.asarray(x).tobytes() == whole_array_decode(imgs).tobytes()
+        assert load_idx_images(path).x.pixels.tobytes() == (255 - imgs).tobytes()
 
     def test_dataset_sha256_streams_row_blocks(self, tmp_path):
         n = 3000  # 167 rows per block: 17 full blocks and a ragged tail

@@ -395,6 +395,13 @@ class TestAccountant:
         state = AccountantState.create(0.5, 2.0)
         assert accumulate(state, 0) == state
 
+    def test_total_steps_beyond_float_range_rejected(self):
+        state = accumulate(AccountantState.create(0.5, 1.0), 10**308)
+        with pytest.raises(ValueError, match="steps must total at most"):
+            accumulate(state, 10**308)
+        with pytest.raises(ValueError, match="steps must total at most"):
+            accumulate(AccountantState.create(0.5, 1.0), 10**400)
+
     def test_accumulate_is_additive(self):
         state = AccountantState.create(0.25, 1.5)
         a = accumulate(accumulate(state, 7), 5)
