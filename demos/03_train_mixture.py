@@ -33,11 +33,12 @@ print(f"code-recovery bound over the last 100 iterations: {li.mean:.3f} "
 codes = sample_codes(spec, 1024, np.random.default_rng(99))
 x = generate(result.gen, codes)
 logits = q_posterior(result.critic, x).cat_logits[0]
-acc = float((logits.argmax(1) == codes.cat_index()).mean())
+category = codes.cat_onehot[0].argmax(1)
+acc = float((logits.argmax(1) == category).mean())
 print(f"recovery head matches the generating category on {acc:.1%} of samples")
 
 real_means = np.stack([data.x[data.y == j].mean(0) for j in range(8)])
-hit = {int(np.linalg.norm(real_means - x[codes.cat_index() == c].mean(0), axis=1).argmin())
+hit = {int(np.linalg.norm(real_means - x[category == c].mean(0), axis=1).argmin())
        for c in range(8)}
 print(f"the 8 categories land on {len(hit)} distinct mixture components")
 

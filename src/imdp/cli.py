@@ -292,10 +292,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    seed = _to_int("seed", args.seed, least=0)
+    cont_steps = _to_int("cont-steps", args.cont_steps)
     bundle = load_checkpoint(args.checkpoint)
-    seed = int(args.seed)
-    grid = code_sweep(bundle.gen, bundle.latent, seed=seed,
-                      cont_steps=int(args.cont_steps))
+    grid = code_sweep(bundle.gen, bundle.latent, seed=seed, cont_steps=cont_steps)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     d = bundle.gen.data_dim
@@ -314,6 +314,13 @@ def cmd_evaluate(args) -> int:
     per_class = _to_int("per-class", args.per_class, least=1)
     map_samples = _to_int("map-samples", args.map_samples, least=1)
     epochs = _to_int("epochs", args.epochs, least=1)
+    seed = _to_int("seed", args.seed, least=0)
+    a, sep, b = args.pair.partition(",")
+    if not sep:
+        raise ConfigError("--pair expects two labels, e.g. 3,8")
+    pair = (_to_int("pair", a), _to_int("pair", b))
+    if pair[0] == pair[1]:
+        raise ConfigError(f"--pair needs two different labels, got {args.pair}")
     models = {}
     for item in args.model:
         eps_raw, sep, path = item.partition("=")
@@ -327,14 +334,10 @@ def cmd_evaluate(args) -> int:
         models[eps] = (bundle.gen, bundle.critic)
     if not models:
         raise ConfigError("at least one --model EPS=PATH is required")
-    a, sep, b = args.pair.partition(",")
-    if not sep:
-        raise ConfigError("--pair expects two labels, e.g. 3,8")
-    pair = (_to_int("pair", a), _to_int("pair", b))
     real = load_dataset(args.dataset)
     if real.y is None:
         raise ConfigError("evaluation dataset needs labels")
-    rng = np.random.default_rng(int(args.seed))
+    rng = np.random.default_rng(seed)
     order = rng.permutation(real.n)
     n_map = min(map_samples, real.n // 2)
     map_data = Dataset._trusted(real.x[order[:n_map]], real.y[order[:n_map]],
@@ -346,7 +349,7 @@ def cmd_evaluate(args) -> int:
                                  source=f"{real.source}|test")
     report = utility_privacy_curve(models, pair=pair, real_test=test_data,
                                    map_data=map_data,
-                                   per_class=per_class, epochs=epochs, seed=int(args.seed))
+                                   per_class=per_class, epochs=epochs, seed=seed)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "utility.csv")

@@ -3,8 +3,10 @@
 Two sources: IDX-format image files (big-endian, the classic handwritten
 digit layout) rescaled to [-1, 1], and synthetic ring-of-Gaussians
 mixtures for fast trend experiments.  Batches are drawn uniformly with
-replacement so the per-batch inclusion probability matches the sampling
-ratio used by the privacy accounting.
+replacement, so a record can appear twice in one batch.  The privacy
+accountant analyses Poisson subsampling, where each record joins a batch
+at most once, so its epsilon is not a proven bound for this sampler
+(ROADMAP item 1).
 
 IDX images stay bytes: the header and the file size are checked before
 anything is mapped, then the pixels are a ``uint8 (N, rows*cols)`` view

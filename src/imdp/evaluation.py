@@ -15,7 +15,7 @@ import numpy as np
 from .artifacts import write_atomic
 from .autodiff import Graph, ParamStore, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
-from .latent import Codes, LatentSpec
+from .latent import LatentSpec, build_codes, uniform_cont
 from .nets import CriticQNet, GeneratorNet, _affine, _init_layers, generate, q_posterior
 from .train import MetricsLog, TrainConfig, train
 
@@ -26,8 +26,6 @@ class SweepGrid:
 
     values: np.ndarray       # (rows, cols, d)
     cont_values: np.ndarray  # (rows,)
-    cat_index: int
-    cont_index: int
 
     @property
     def rows(self) -> int:
@@ -60,43 +58,29 @@ class SweepGrid:
 
 
 def code_sweep(gen: GeneratorNet, spec: LatentSpec, seed: int,
-               cont_steps: int = 10, cat_index: int = 0,
-               cont_index: int = 0) -> SweepGrid:
-    """Enumerate one categorical code across columns against an even grid
-    of one continuous code across rows, with a fixed noise draw per row."""
+               cont_steps: int = 10) -> SweepGrid:
+    """Enumerate the first categorical code across columns against an even
+    grid of the first continuous code across rows, with a fixed noise draw
+    per row.  Every other code sits at category 0 or its range's midpoint."""
     if cont_steps < 2:
         raise ValueError("cont_steps must be >= 2")
     if spec.input_width != gen.input_width:
         raise ValueError("latent spec does not match generator input width")
     if not spec.categorical:
         raise ValueError("sweep needs a categorical code")
-    k = spec.categorical[cat_index]
+    k = spec.categorical[0]
     rng = np.random.default_rng(seed)
     z_rows = rng.standard_normal((cont_steps, spec.z_dim))
-    lo, hi = spec.continuous[cont_index] if spec.n_cont else (0.0, 0.0)
-    cont_values = (np.linspace(lo, hi, cont_steps) if spec.n_cont
-                   else np.zeros(cont_steps))
-    batch = cont_steps * k
-    z = np.repeat(z_rows, k, axis=0)
-    onehots = []
-    for i, ki in enumerate(spec.categorical):
-        oh = np.zeros((batch, ki))
-        if i == cat_index:
-            oh[np.arange(batch), np.tile(np.arange(k), cont_steps)] = 1.0
-        else:
-            oh[:, 0] = 1.0
-        onehots.append(oh)
+    cat_ids = [np.tile(np.arange(k), cont_steps)] + [0] * (len(spec.categorical) - 1)
     cont = None
+    cont_values = np.zeros(cont_steps)
     if spec.n_cont:
-        cont = np.zeros((batch, spec.n_cont))
-        for j, (clo, chi) in enumerate(spec.continuous):
-            cont[:, j] = 0.5 * (clo + chi)
-        cont[:, cont_index] = np.repeat(cont_values, k)
-    codes = Codes(z=z, cat_onehot=onehots, cont=cont, spec=spec)
-    samples = generate(gen, codes)
-    return SweepGrid(values=samples.reshape(cont_steps, k, -1),
-                     cont_values=cont_values, cat_index=cat_index,
-                     cont_index=cont_index)
+        cont_values = np.linspace(*spec.continuous[0], cont_steps)
+        cont = np.tile([0.5 * (lo + hi) for lo, hi in spec.continuous], (cont_steps * k, 1))
+        cont[:, 0] = np.repeat(cont_values, k)
+    codes = build_codes(spec, np.repeat(z_rows, k, axis=0), cat_ids, cont)
+    return SweepGrid(values=generate(gen, codes).reshape(cont_steps, k, -1),
+                     cont_values=cont_values)
 
 
 class Classifier:
@@ -159,16 +143,17 @@ def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Cl
     return clf
 
 
-def map_categories_to_labels(critic: CriticQNet, mapping_data: Dataset,
-                             cat_index: int = 0) -> tuple[dict[int, int], bool]:
-    """Majority-vote identification of which category emits which label.
+def map_categories_to_labels(critic: CriticQNet,
+                             mapping_data: Dataset) -> tuple[dict[int, int], bool]:
+    """Majority-vote identification of which category of the first code
+    emits which label.
 
     Returns (label -> category) plus a flag marking any vote tie, which
     is broken deterministically toward the lower category id.
     """
     if mapping_data.y is None:
         raise ValueError("mapping data needs labels")
-    logits = q_posterior(critic, mapping_data.x).cat_logits[cat_index]
+    logits = q_posterior(critic, mapping_data.x).cat_logits[0]
     assigned = logits.argmax(axis=1)
     k = logits.shape[1]
     mapping: dict[int, int] = {}
@@ -250,19 +235,11 @@ def dataset_sha256(ds: Dataset) -> str:
 
 
 def _generate_labeled(gen: GeneratorNet, spec: LatentSpec, category: int,
-                      label: int, count: int, rng: np.random.Generator,
-                      cat_index: int = 0) -> Dataset:
+                      label: int, count: int, rng: np.random.Generator) -> Dataset:
+    """``count`` rows at one category of the first code, the others at 0."""
     z = rng.standard_normal((count, spec.z_dim))
-    onehots = []
-    for i, k in enumerate(spec.categorical):
-        oh = np.zeros((count, k))
-        oh[:, category if i == cat_index else 0] = 1.0
-        onehots.append(oh)
-    cont = None
-    if spec.n_cont:
-        cols = [rng.uniform(lo, hi, size=count) for lo, hi in spec.continuous]
-        cont = np.stack(cols, axis=1)
-    x = generate(gen, Codes(z=z, cat_onehot=onehots, cont=cont, spec=spec))
+    cat_ids = [category] + [0] * (len(spec.categorical) - 1)
+    x = generate(gen, build_codes(spec, z, cat_ids, uniform_cont(spec, count, rng)))
     return Dataset(x=x, y=np.full(count, label), source=f"generated:cat={category}")
 
 

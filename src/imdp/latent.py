@@ -9,11 +9,11 @@ its maximum equals the total code entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, as_tensor
+from .autodiff import Graph
 
 
 @dataclass(frozen=True)
@@ -85,50 +85,11 @@ class LatentSpec:
 
 @dataclass
 class Codes:
-    """One batch of sampled latent inputs."""
+    """One batch of latent inputs, as ``build_codes`` lays them out."""
 
-    z: np.ndarray                      # (batch, z_dim)
-    cat_onehot: list[np.ndarray] = field(default_factory=list)  # (batch, K_i) each
-    cont: np.ndarray | None = None     # (batch, n_cont)
-    spec: LatentSpec | None = None
-
-    def __post_init__(self):
-        self.z = as_tensor(self.z, where="codes.z")
-        b = self.z.shape[0]
-        self.cat_onehot = [as_tensor(c, where="codes.cat") for c in self.cat_onehot]
-        for c in self.cat_onehot:
-            if c.shape[0] != b:
-                raise ValueError("categorical code batch mismatch")
-            if not (np.isin(c, (0.0, 1.0)).all() and (c.sum(axis=1) == 1.0).all()):
-                raise ValueError("categorical codes must be exact one-hot rows")
-        if self.cont is not None:
-            self.cont = as_tensor(self.cont, where="codes.cont")
-            if self.cont.shape[0] != b:
-                raise ValueError("continuous code batch mismatch")
-            if self.spec is not None:
-                for j, (lo, hi) in enumerate(self.spec.continuous):
-                    col = self.cont[:, j]
-                    if col.min() < lo or col.max() > hi:
-                        raise ValueError(f"continuous code {j} outside [{lo}, {hi}]")
-
-    @classmethod
-    def _trusted(cls, z, cat_onehot, cont, spec) -> "Codes":
-        """Wrap arrays that are valid by construction, skipping the checks.
-
-        Only for float64 C-contiguous arrays already shaped, one-hot and
-        in range as ``__post_init__`` requires; ``sample_codes`` builds
-        exactly those.
-        """
-        codes = object.__new__(cls)
-        codes.z, codes.cat_onehot, codes.cont, codes.spec = z, cat_onehot, cont, spec
-        return codes
-
-    @property
-    def batch(self) -> int:
-        return self.z.shape[0]
-
-    def cat_index(self, i: int = 0) -> np.ndarray:
-        return self.cat_onehot[i].argmax(axis=1)
+    z: np.ndarray                   # (batch, z_dim)
+    cat_onehot: list[np.ndarray]    # (batch, K_i) each
+    cont: np.ndarray | None         # (batch, n_cont)
 
     def concat(self) -> np.ndarray:
         """Generator input: z, then one-hot codes, then continuous codes."""
@@ -138,22 +99,34 @@ class Codes:
         return np.concatenate(parts, axis=1)
 
 
+def build_codes(spec: LatentSpec, z: np.ndarray, cat_ids: list,
+                cont: np.ndarray | None) -> Codes:
+    """The one builder of a code batch: z, one exact one-hot block per
+    categorical code from ``cat_ids`` (each a (batch,) int array, or one int
+    for every row), then ``cont`` (None when the spec has no continuous code)."""
+    batch = z.shape[0]
+    rows = np.arange(batch)
+    onehots = [np.zeros((batch, k)) for k in spec.categorical]
+    for oh, ids in zip(onehots, cat_ids, strict=True):
+        oh[rows, ids] = 1.0
+    return Codes(z, onehots, cont)
+
+
+def uniform_cont(spec: LatentSpec, batch: int, rng: np.random.Generator) -> np.ndarray | None:
+    """(batch, n_cont) continuous codes, each column uniform over its range
+    and drawn in code order; None when the spec has no continuous code."""
+    if not spec.n_cont:
+        return None
+    return np.stack([rng.uniform(lo, hi, size=batch) for lo, hi in spec.continuous], axis=1)
+
+
 def sample_codes(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Codes:
     """Draw a batch: z standard normal, categorical uniform, continuous uniform."""
     if batch < 1:
         raise ValueError("batch must be >= 1")
     z = rng.standard_normal((batch, spec.z_dim))
-    onehots = []
-    for k in spec.categorical:
-        idx = rng.integers(0, k, size=batch)
-        oh = np.zeros((batch, k))
-        oh[np.arange(batch), idx] = 1.0
-        onehots.append(oh)
-    cont = None
-    if spec.n_cont:
-        cols = [rng.uniform(lo, hi, size=batch) for lo, hi in spec.continuous]
-        cont = np.stack(cols, axis=1)
-    return Codes._trusted(z, onehots, cont, spec)
+    cat_ids = [rng.integers(0, k, size=batch) for k in spec.categorical]
+    return build_codes(spec, z, cat_ids, uniform_cont(spec, batch, rng))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,7 @@ def _text(path):
 
 
 def _pgm(path):
-    grid = SweepGrid(values=np.zeros((2, 2, 4)), cont_values=np.zeros(2),
-                     cat_index=0, cont_index=0)
+    grid = SweepGrid(values=np.zeros((2, 2, 4)), cont_values=np.zeros(2))
     grid.to_pgm(path, img_side=2)
 
 

@@ -466,6 +466,17 @@ class TestCmdGenerate:
         code = main(["generate", "--checkpoint", str(tmp_path / "none.ckpt")])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--cont-steps", "x", "cont-steps: expected integer, got 'x'"),
+    ])
+    def test_bad_flag_named_before_loading(self, tmp_path, capsys, flag, value, message):
+        code = main(["generate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--out", str(tmp_path / "sweep"), flag, value])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"imdp: error: validation: {message}\n"
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
     def test_repeated_generate_does_not_fault_in_fresh_pages(self, tmp_path):
         # A fresh process that never trains: only the entry point can raise
@@ -574,6 +585,16 @@ class TestCmdEvaluateRejectsBadFlags:
         self.reject(tmp_path, capsys, trained_checkpoint,
                     ["--model", f"Infinity={trained_checkpoint}"],
                     "--model: two models at epsilon inf")
+
+    # a checkpoint that does not exist would exit 2 if it were loaded first
+
+    def test_pair_of_one_label_rejected_before_loading(self, tmp_path, capsys):
+        self.reject(tmp_path, capsys, str(tmp_path / "none.ckpt"), ["--pair", "3,3"],
+                    "--pair needs two different labels, got 3,3")
+
+    def test_negative_seed_rejected_before_loading(self, tmp_path, capsys):
+        self.reject(tmp_path, capsys, str(tmp_path / "none.ckpt"), ["--seed", "-1"],
+                    "seed must be >= 0, got -1")
 
 
 class TestCmdAccountant:

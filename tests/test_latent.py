@@ -5,7 +5,7 @@ import pytest
 
 from imdp.autodiff import Graph, ParamStore, forward, grad_check
 from imdp.autodiff import _softmax_rows as softmax
-from imdp.latent import Codes, LatentSpec, mi_lower_bound, sample_codes
+from imdp.latent import LatentSpec, build_codes, mi_lower_bound, sample_codes, uniform_cont
 
 
 class TestLatentSpec:
@@ -77,18 +77,40 @@ class TestSampleCodes:
         with pytest.raises(ValueError):
             sample_codes(self.SPEC, 0, np.random.default_rng(0))
 
-    def test_sampled_codes_pass_validation(self):
+    def test_draws_follow_the_builder_in_spec_order(self):
         spec = LatentSpec(z_dim=3, categorical=(4, 2), continuous=((-1.0, 1.0), (0.0, 5.0)))
         codes = sample_codes(spec, 64, np.random.default_rng(5))
-        checked = Codes(z=codes.z, cat_onehot=codes.cat_onehot, cont=codes.cont, spec=spec)
-        assert checked.concat().tobytes() == codes.concat().tobytes()
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((64, 3))
+        ids = [rng.integers(0, 4, size=64), rng.integers(0, 2, size=64)]
+        want = build_codes(spec, z, ids, uniform_cont(spec, 64, rng))
+        assert codes.concat().tobytes() == want.concat().tobytes()
 
-    def test_codes_validation(self):
+
+class TestBuildCodes:
+    SPEC = LatentSpec(z_dim=2, categorical=(4, 3), continuous=((-1.0, 1.0),))
+
+    def test_exact_one_hot_rows_from_ids(self):
+        z = np.arange(10.0).reshape(5, 2)
+        cont = np.full((5, 1), 0.25)
+        codes = build_codes(self.SPEC, z, [np.array([0, 3, 1, 2, 3]), 2], cont)
+        np.testing.assert_array_equal(codes.cat_onehot[0], np.eye(4)[[0, 3, 1, 2, 3]])
+        np.testing.assert_array_equal(codes.cat_onehot[1], np.eye(3)[[2] * 5])
+        assert all(oh.dtype == np.float64 for oh in codes.cat_onehot)
+        assert codes.z is z and codes.cont is cont
+
+    def test_one_id_entry_per_categorical_code(self):
         with pytest.raises(ValueError):
-            Codes(z=np.zeros((4, 2)), cat_onehot=[np.full((4, 3), 0.5)])
-        with pytest.raises(ValueError):
-            Codes(z=np.zeros((4, 2)), cat_onehot=[], cont=np.full((4, 1), 2.0),
-                  spec=LatentSpec(z_dim=2, categorical=(), continuous=((-1.0, 1.0),)))
+            build_codes(self.SPEC, np.zeros((2, 2)), [0], None)
+
+    def test_uniform_cont_columns_in_range(self):
+        spec = LatentSpec(z_dim=1, categorical=(), continuous=((-1.0, 1.0), (2.0, 5.0)))
+        cont = uniform_cont(spec, 1000, np.random.default_rng(1))
+        assert cont.shape == (1000, 2)
+        assert cont[:, 0].min() >= -1.0 and cont[:, 0].max() <= 1.0
+        assert cont[:, 1].min() >= 2.0 and cont[:, 1].max() <= 5.0
+        assert uniform_cont(LatentSpec(z_dim=1, continuous=()), 4,
+                            np.random.default_rng(1)) is None
 
 
 def build_mi_graph(batch, k=10, n_cont=0):

@@ -83,8 +83,10 @@ class TestGenerate:
         assert out.min() >= -1.0 and out.max() <= 1.0
 
     def test_batch_mismatch_rejected(self):
+        gen = build_generator(small_cfg(1))
+        codes = Codes(z=np.zeros((2, 4)), cat_onehot=[np.eye(3)], cont=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            Codes(z=np.zeros((2, 4)), cat_onehot=[np.eye(3)[:3]])
+            generate(gen, codes)
 
     def test_width_mismatch_rejected(self):
         cfg = small_cfg(1)
