@@ -1,7 +1,9 @@
 """Golden metrics logs: the training numerics replay byte for byte across changes.
 
 Each ``golden/<name>.cfg`` was trained with ``imdp train`` and the run's
-``metrics.log`` committed beside it as ``golden/<name>.metrics.log``.
+``metrics.log`` and ``config.resolved`` committed beside it as
+``golden/<name>.metrics.log`` and ``golden/<name>.config.resolved``; the
+second pins what the config reader makes of the file.
 Criterion 11 only shows that two runs of the same code agree; these files
 pin the numbers themselves, so a change that moves any bit of training
 fails here.  A change that alters numerics on purpose regenerates them
@@ -49,7 +51,10 @@ ACCOUNTANT_GRID = [(q, eps) for q in (repr(64 / 768), repr(64 / 60000))
 def test_metrics_log_matches_golden(name, tmp_path):
     assert main(["train", "--config", str(GOLDEN / f"{name}.cfg"),
                  "--out", str(tmp_path)]) == EXIT_OK
-    produced = (next(tmp_path.iterdir()) / "metrics.log").read_bytes()
+    run_dir = next(tmp_path.iterdir())
+    assert ((run_dir / "config.resolved").read_bytes()
+            == (GOLDEN / f"{name}.config.resolved").read_bytes())
+    produced = (run_dir / "metrics.log").read_bytes()
     assert produced == (GOLDEN / f"{name}.metrics.log").read_bytes()
 
 
