@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .artifacts import write_atomic
+from .artifacts import read_kv, write_atomic
 from .data import DataFormatError, Dataset, load_idx_images, load_idx_labels, synth_mixture
 from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_curve
 from .latent import LatentSpec
@@ -67,26 +67,6 @@ _FLAG_KEYS = {
     "batch": "train.batch",
     "dataset": "train.dataset",
 }
-
-
-def _parse_kv_text(text: str, where: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{where}:{lineno}: expected key=value, got {raw!r}")
-        key = key.strip()
-        if section:
-            key = f"{section}.{key}"
-        out[key] = value.strip()
-    return out
 
 
 def _to_int(key: str, value: str, least: int | None = None) -> int:
@@ -164,7 +144,10 @@ def parse_config(path: str | None, overrides: dict[str, str] | None = None) -> R
                 text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        file_kv = _parse_kv_text(text, path)
+        try:
+            file_kv = read_kv(text, path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         unknown = set(file_kv) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

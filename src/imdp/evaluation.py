@@ -121,7 +121,11 @@ class Classifier:
 
 
 def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Classifier:
-    """Cross-entropy training over shuffled epochs; deterministic by seed."""
+    """Cross-entropy training over shuffled epochs; deterministic by seed.
+
+    Each step takes ``Classifier.BATCH`` rows, or all ``n`` rows when
+    there are fewer.  Rows past the last full batch of an epoch's shuffle
+    are skipped that epoch."""
     if ds.y is None:
         raise ValueError("dataset has no labels")
     labels = tuple(sorted(set(int(v) for v in ds.y)))
@@ -131,11 +135,12 @@ def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Cl
     onehot = np.zeros((ds.n, 2))
     onehot[np.arange(ds.n), (ds.y == labels[1]).astype(int)] = 1.0
     rng = np.random.default_rng(seed)
+    batch = min(clf.BATCH, ds.n)
+    g, _, loss = clf._graph(batch)
     for _ in range(epochs):
         order = rng.permutation(ds.n)
-        for lo in range(0, ds.n - clf.BATCH + 1, clf.BATCH):
-            rows = order[lo:lo + clf.BATCH]
-            g, _, loss = clf._graph(clf.BATCH)
+        for lo in range(0, ds.n - batch + 1, batch):
+            rows = order[lo:lo + batch]
             acts = forward(g, clf.store, {"x": ds.x[rows], "t": onehot[rows]})
             grads = backward(g, clf.store, acts, loss)
             for name in clf.store.params:

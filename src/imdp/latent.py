@@ -52,15 +52,11 @@ class LatentSpec:
     def cont_entropy(self) -> float:
         return sum(math.log(hi - lo) for lo, hi in self.continuous)
 
-    def to_text(self) -> str:
-        cats = ",".join(str(k) for k in self.categorical)
-        conts = ",".join(f"{lo}:{hi}" for lo, hi in self.continuous)
-        return f"z_dim={self.z_dim}\ncategorical={cats}\ncontinuous={conts}"
-
     @classmethod
     def parse(cls, z_dim: str, categorical: str, continuous: str) -> "LatentSpec":
-        """The one parser of the fields' text as ``to_text`` writes them:
-        ``62``, ``10,4`` and ``-1.0:1.0,0.0:2.0``; either list may be empty."""
+        """The one parser of the fields' text, as config files and checkpoint
+        spec blocks hold them: ``62``, ``10,4`` and ``-1.0:1.0,0.0:2.0``;
+        either list may be empty."""
         def items(text: str) -> list[str]:
             return text.split(",") if text.strip() else []
 
@@ -72,15 +68,6 @@ class LatentSpec:
             conts.append((float(lo), float(hi)))
         return cls(z_dim=int(z_dim), categorical=tuple(int(k) for k in items(categorical)),
                    continuous=tuple(conts))
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatentSpec":
-        fields = {}
-        for line in text.strip().splitlines():
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
-        return cls.parse(fields["z_dim"], fields.get("categorical", ""),
-                         fields.get("continuous", ""))
 
 
 @dataclass

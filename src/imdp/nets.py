@@ -5,6 +5,13 @@ The critic and the code-recovery head share one trunk: the trunk's
 parameter arrays have a single storage location, so an update made
 through either head is observed by the other.  Architectures are plain
 affine stacks sized to train in minutes on a desk machine.
+
+A checkpoint holds the named float64 parameter tensors, then a spec
+block: the latent and privacy specs as ``latent.*``/``privacy.*``
+key=value lines.  This module alone writes and reads that block, and it
+reads it with the config-file reader, ``artifacts.read_kv``, so a block
+may also hold blank lines, ``#`` comments and ``[section]`` prefixes,
+though the writer emits none.
 """
 from __future__ import annotations
 
@@ -14,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import read_kv, write_atomic
 from .autodiff import Graph, ParamStore, as_tensor, forward, graph_per_batch
 from .latent import Codes, LatentSpec
-from .privacy import PrivacySpec
+from .privacy import INF, PrivacySpec
 
 INIT_SCALE = 0.05  # weights drawn uniformly from [-INIT_SCALE, INIT_SCALE]
 
@@ -243,25 +250,30 @@ class CheckpointBundle:
 
 
 def _spec_block(latent: LatentSpec, privacy: PrivacySpec) -> bytes:
-    lines = []
-    for line in latent.to_text().splitlines():
-        lines.append(f"latent.{line}")
-    for line in privacy.to_text().splitlines():
-        lines.append(f"privacy.{line}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """The specs as ``latent.*``/``privacy.*`` key=value lines, one per field."""
+    cats = ",".join(str(k) for k in latent.categorical)
+    conts = ",".join(f"{lo}:{hi}" for lo, hi in latent.continuous)
+    eps = "inf" if privacy.epsilon == INF else repr(privacy.epsilon)
+    return (f"latent.z_dim={latent.z_dim}\nlatent.categorical={cats}\n"
+            f"latent.continuous={conts}\nprivacy.epsilon={eps}\n"
+            f"privacy.delta={privacy.delta!r}\nprivacy.c_p={privacy.c_p!r}\n"
+            f"privacy.q={privacy.q!r}\nprivacy.n_d={privacy.n_d}\n"
+            f"privacy.sigma={privacy.sigma!r}\n").encode("utf-8")
 
 
 def _parse_spec_block(blob: memoryview) -> tuple[LatentSpec, PrivacySpec]:
-    latent_lines, privacy_lines = [], []
-    for line in str(blob, "utf-8").splitlines():
-        if line.startswith("latent."):
-            latent_lines.append(line[len("latent."):])
-        elif line.startswith("privacy."):
-            privacy_lines.append(line[len("privacy."):])
-        elif line.strip():
-            raise CheckpointError(f"unknown spec line {line!r}")
-    return (LatentSpec.from_text("\n".join(latent_lines)),
-            PrivacySpec.from_text("\n".join(privacy_lines)))
+    """Read the block with the config reader; every key ``_spec_block``
+    writes is required, and any other key is rejected."""
+    fields = read_kv(str(blob, "utf-8"), "spec block")
+    latent = LatentSpec.parse(fields.pop("latent.z_dim"), fields.pop("latent.categorical"),
+                              fields.pop("latent.continuous"))
+    privacy = PrivacySpec(
+        epsilon=float(fields.pop("privacy.epsilon")), delta=float(fields.pop("privacy.delta")),
+        c_p=float(fields.pop("privacy.c_p")), q=float(fields.pop("privacy.q")),
+        n_d=int(fields.pop("privacy.n_d")), sigma=float(fields.pop("privacy.sigma")))
+    if fields:
+        raise CheckpointError(f"unknown spec keys {sorted(fields)}")
+    return latent, privacy
 
 
 def save_checkpoint(path, gen: GeneratorNet, critic: CriticQNet,

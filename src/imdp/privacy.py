@@ -95,21 +95,6 @@ class PrivacySpec:
     def private(self) -> bool:
         return self.sigma > 0.0
 
-    def to_text(self) -> str:
-        eps = "inf" if self.epsilon == INF else repr(self.epsilon)
-        return (f"epsilon={eps}\ndelta={self.delta!r}\nc_p={self.c_p!r}\n"
-                f"q={self.q!r}\nn_d={self.n_d}\nsigma={self.sigma!r}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "PrivacySpec":
-        fields = {}
-        for line in text.strip().splitlines():
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
-        return cls(epsilon=float(fields["epsilon"]), delta=float(fields["delta"]),
-                   c_p=float(fields["c_p"]), q=float(fields["q"]),
-                   n_d=int(fields["n_d"]), sigma=float(fields["sigma"]))
-
 
 def clip_weights(store: ParamStore, c_p: float, names=None) -> None:
     """Project every parameter entry into [-c_p, c_p], in place."""

@@ -17,6 +17,7 @@ from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDA
 from imdp.data import MIXTURE_MAX_N, DataFormatError
 from imdp.latent import LatentSpec
 from imdp.privacy import INF, calibrate_sigma
+from imdp.train import TrainConfig
 
 INF_SPELLINGS = ["inf", "INF", "Infinity"]
 
@@ -32,6 +33,8 @@ class TestParseConfig:
         assert cfg.epsilon == INF
         assert cfg.latent == LatentSpec(z_dim=62, categorical=(10,),
                                         continuous=((-1.0, 1.0),))
+        # every field: the CLI's string defaults cannot drift from TrainConfig's
+        assert cfg == TrainConfig(n_g=1000, dataset=_DEFAULTS["train.dataset"])
 
     def test_infinite_epsilon_resolves_to_zero_sigma(self):
         resolved = parse_config(None, {"privacy.epsilon": "inf"})
@@ -97,10 +100,10 @@ class TestParseConfig:
         LatentSpec(z_dim=5, categorical=(), continuous=()),
     ])
     def test_latent_spec_round_trips_through_config_text(self, spec):
-        fields = dict(line.split("=", 1) for line in spec.to_text().splitlines())
-        resolved = parse_config(None, {"latent.z_dim": fields["z_dim"],
-                                       "latent.cat": fields["categorical"],
-                                       "latent.cont": fields["continuous"]})
+        resolved = parse_config(None, {
+            "latent.z_dim": str(spec.z_dim),
+            "latent.cat": ",".join(str(k) for k in spec.categorical),
+            "latent.cont": ",".join(f"{lo}:{hi}" for lo, hi in spec.continuous)})
         assert resolved.train_config().latent == spec
 
     def test_malformed_continuous_code_rejected(self):

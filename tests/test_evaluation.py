@@ -94,6 +94,15 @@ class TestBinaryClassifier:
         clf = train_binary_classifier(ds, epochs=60, seed=1)
         assert clf.accuracy(self.blobs(seed=9)) > 0.99
 
+    def test_fewer_rows_than_a_batch_still_train(self):
+        ds = self.blobs(n=48)
+        assert ds.n < Classifier.BATCH
+        clf = train_binary_classifier(ds, epochs=100, seed=1)
+        untrained = Classifier(dim=2, labels=(0, 3), seed=1)
+        for name, arr in clf.store.params.items():
+            assert not np.array_equal(arr, untrained.store.params[name])
+        assert clf.accuracy(self.blobs(seed=9)) >= 0.9
+
     def test_shuffled_labels_are_chance(self):
         ds = self.blobs(n=2000, seed=2)
         rng = np.random.default_rng(3)

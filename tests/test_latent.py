@@ -18,12 +18,6 @@ class TestLatentSpec:
         assert spec.cat_entropy() == pytest.approx(math.log(10) + math.log(4))
         assert spec.cont_entropy() == pytest.approx(math.log(2.0) + math.log(4.0))
 
-    def test_text_round_trip(self):
-        spec = LatentSpec(z_dim=8, categorical=(8, 3), continuous=((-1.0, 1.0),))
-        assert LatentSpec.from_text(spec.to_text()) == spec
-        bare = LatentSpec(z_dim=5, categorical=(), continuous=())
-        assert LatentSpec.from_text(bare.to_text()) == bare
-
     @pytest.mark.parametrize("fields", [("x", "", ""), ("4", "10,", ""), ("4", "", "5"),
                                         ("4", "", "-1:1:2"), ("4", "", "1:-1")])
     def test_parse_rejects_malformed_fields(self, fields):

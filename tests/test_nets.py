@@ -286,7 +286,9 @@ class TestCheckpointTypedErrors:
         lambda b: b.replace(b"latent.z_dim=4\n", b""),
         lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=5"),
         lambda b: b.replace(b"latent.z_dim=4", b"latent.z_dim=\xff"),
-    ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8"])
+        lambda b: b + b"latent.junk\n",
+        lambda b: b + b"privacy.whatever=3\n",
+    ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8", "no-equals", "unknown-key"])
     def test_malformed_spec_block_is_a_checkpoint_error(self, tmp_path, edit):
         path = self.saved(tmp_path)
         path.write_bytes(with_spec_block(path.read_bytes(), edit))

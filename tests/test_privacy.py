@@ -68,13 +68,6 @@ class TestPrivacySpec:
             PrivacySpec(epsilon=2.2, delta=1e-5, c_p=0.01, q=64 / 60000, n_d=5,
                         sigma=2 * spec.sigma)
 
-    def test_text_round_trip(self):
-        spec = PrivacySpec.calibrated(1.22, 1e-5, 0.1, 0.0625, 5)
-        again = PrivacySpec.from_text(spec.to_text())
-        assert again == spec
-        inf_spec = PrivacySpec.calibrated(INF, 1e-5, 0.01, 0.5, 5)
-        assert PrivacySpec.from_text(inf_spec.to_text()) == inf_spec
-
 
 def store_with(values):
     store = ParamStore()
