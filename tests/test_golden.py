@@ -3,7 +3,10 @@
 Each ``golden/<name>.cfg`` was trained with ``imdp train`` and the run's
 ``metrics.log`` and ``config.resolved`` committed beside it as
 ``golden/<name>.metrics.log`` and ``golden/<name>.config.resolved``; the
-second pins what the config reader makes of the file.
+second pins what the config reader makes of the file.  The SHA-256 of the
+run's final ``checkpoint.ckpt`` is kept as ``golden/<name>.checkpoint.sha256``:
+the log pins only the scalars logged each iteration, the digest pins every
+weight the backward passes moved.
 Criterion 11 only shows that two runs of the same code agree; these files
 pin the numbers themselves, so a change that moves any bit of training
 fails here.  A change that alters numerics on purpose regenerates them
@@ -29,6 +32,7 @@ so the sweep is written as CSV), and a labeled 2x3 IDX image file.  A
 change that alters them on purpose rewrites them with the same commands
 and says why.  Both give the same bits with one or two OpenBLAS threads.
 """
+import hashlib
 import struct
 from pathlib import Path
 
@@ -56,6 +60,8 @@ def test_metrics_log_matches_golden(name, tmp_path):
             == (GOLDEN / f"{name}.config.resolved").read_bytes())
     produced = (run_dir / "metrics.log").read_bytes()
     assert produced == (GOLDEN / f"{name}.metrics.log").read_bytes()
+    digest = hashlib.sha256((run_dir / "checkpoint.ckpt").read_bytes()).hexdigest()
+    assert digest == (GOLDEN / f"{name}.checkpoint.sha256").read_text().strip()
 
 
 def test_accountant_stdout_matches_golden(capsys):
