@@ -6,13 +6,14 @@ as many times as needed with different bindings.  The operation set is
 the minimal closed set needed by the adversarial objectives and the
 code-recovery head: affine maps, pointwise nonlinearities, softmax
 cross-entropy, fixed-variance Gaussian log-likelihood, the mean, and
-scalar arithmetic.
+weighted sums of equal-shaped nodes.
 
 Every value is a 64-bit row-major numpy array.  Any non-finite entry
 produced by a public operation raises ``NonFiniteError`` instead of
 propagating silently.  ``forward`` checks only the inputs, the sinks
 (nodes no other node reads) and the operands of relu and tanh.  Every
-other op turns a non-finite operand into a non-finite output, and only
+other op turns a non-finite operand into a non-finite output (a weighted
+sum too, since 0 * inf is NaN), and only
 relu (-inf -> 0) and tanh (+-inf -> +-1) can mask one, so a non-finite
 value anywhere reaches a checked node.  When a check fires, the pass is
 rerun checking every node, so the error names the first non-finite node.
@@ -187,8 +188,9 @@ class Node:
     op: str
     args: tuple[int, ...]
     shape: tuple[int, ...]
-    ref: str | None = None  # input/param name
-    k: float = 0.0          # scalar operand for scale/add_scalar
+    ref: str | None = None       # input/param name
+    w: tuple[float, ...] = ()    # weighted_sum: one weight per operand
+    k: float | None = None       # weighted_sum: constant added last, if any
 
 
 class Graph:
@@ -317,30 +319,24 @@ class Graph:
         self._check_target(targets, "gaussian_loglik")
         return self._append(Node("gaussian_loglik", (means, targets), ()))
 
-    # -- reductions and scalar arithmetic -------------------------------
+    # -- reductions and weighted sums -----------------------------------
 
     def mean(self, x: int) -> int:
         return self._append(Node("mean", (x,), ()))
 
-    def _binary(self, op: str, a: int, b: int) -> int:
-        if self.shape(a) != self.shape(b):
-            raise ShapeError(f"{op} needs equal shapes, got {self.shape(a)} {self.shape(b)}")
-        return self._append(Node(op, (a, b), self.shape(a)))
-
-    def add(self, a: int, b: int) -> int:
-        return self._binary("add", a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._binary("sub", a, b)
-
-    def neg(self, a: int) -> int:
-        return self._append(Node("neg", (a,), self.shape(a)))
-
-    def scale(self, a: int, k: float) -> int:
-        return self._append(Node("scale", (a,), self.shape(a), k=float(k)))
-
-    def add_scalar(self, a: int, c: float) -> int:
-        return self._append(Node("add_scalar", (a,), self.shape(a), k=float(c)))
+    def weighted_sum(self, terms, const: float | None = None) -> int:
+        """``w0*x0 + w1*x1 + ...`` over ``(node, w)`` terms of one shape,
+        summed in the order given, then ``+ const`` unless it is None (so
+        a -0.0 sum stays -0.0 when there is no constant)."""
+        terms = tuple(terms)
+        if not terms:
+            raise GraphError("weighted_sum needs at least one term")
+        shapes = {self.shape(x) for x, _ in terms}
+        if len(shapes) != 1:
+            raise ShapeError(f"weighted_sum needs equal shapes, got {sorted(shapes)}")
+        return self._append(Node("weighted_sum", tuple(x for x, _ in terms), shapes.pop(),
+                                 w=tuple(float(w) for _, w in terms),
+                                 k=None if const is None else float(const)))
 
 
 def graph_per_batch(build):
@@ -416,16 +412,12 @@ def _evaluate(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray],
             v = np.asarray((-0.5 * _LOG_2PI * ncols - 0.5 * (d * d).sum(axis=1)).mean())
         elif nd.op == "mean":
             v = np.asarray(acts[a[0]].mean())
-        elif nd.op == "add":
-            v = acts[a[0]] + acts[a[1]]
-        elif nd.op == "sub":
-            v = acts[a[0]] - acts[a[1]]
-        elif nd.op == "neg":
-            v = -acts[a[0]]
-        elif nd.op == "scale":
-            v = nd.k * acts[a[0]]
-        elif nd.op == "add_scalar":
-            v = acts[a[0]] + nd.k
+        elif nd.op == "weighted_sum":
+            v = nd.w[0] * acts[a[0]]
+            for j, w in zip(a[1:], nd.w[1:]):
+                v = v + w * acts[j]
+            if nd.k is not None:
+                v = v + nd.k
         else:  # pragma: no cover
             raise GraphError(f"unknown op {nd.op!r}")
         if checked[i] and not np.isfinite(v).all():
@@ -468,7 +460,7 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
     filled: set[str] = set()
 
     # No node gradient is ever written in place, so a first term is kept
-    # without a copy even when it is shared (add passes g to both operands).
+    # without a copy.
     def acc(j: int, val: np.ndarray) -> None:
         if node_grads[j] is None:
             node_grads[j] = val
@@ -476,8 +468,8 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
             node_grads[j] = node_grads[j] + val
 
     # Unary ops and the losses pass g on untested: the first operand of a
-    # needed one is needed too (loss targets are leaves).  Multi-operand
-    # ops test each operand.
+    # needed one is needed too (loss targets are leaves).  Affine and
+    # weighted_sum test each operand.
     for i in range(loss, -1, -1):
         g = node_grads[i]
         if g is None:
@@ -515,22 +507,10 @@ def backward(graph: Graph, store: ParamStore, acts: list[np.ndarray], loss: int,
             acc(a[0], g * (t - mu) / mu.shape[0])
         elif nd.op == "mean":
             acc(a[0], np.full(graph.shape(a[0]), float(g) / acts[a[0]].size))
-        elif nd.op == "add":
-            if needed[a[0]]:
-                acc(a[0], g)
-            if needed[a[1]]:
-                acc(a[1], g)
-        elif nd.op == "sub":
-            if needed[a[0]]:
-                acc(a[0], g)
-            if needed[a[1]]:
-                acc(a[1], -g)
-        elif nd.op == "neg":
-            acc(a[0], -g)
-        elif nd.op == "scale":
-            acc(a[0], nd.k * g)
-        elif nd.op == "add_scalar":
-            acc(a[0], g)
+        elif nd.op == "weighted_sum":
+            for j, w in zip(a, nd.w):
+                if needed[j]:
+                    acc(j, w * g)
         else:  # pragma: no cover
             raise GraphError(f"unknown op {nd.op!r}")
     empty = [n for n in grads if (wrt is None or n in wrt) and n not in filled]

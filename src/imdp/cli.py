@@ -132,7 +132,7 @@ class ResolvedConfig:
             raise ConfigError(str(exc)) from exc
 
     def checkpoint_every(self) -> int:
-        return _to_int("train.checkpoint_every", self.get("train.checkpoint_every"))
+        return _to_int("train.checkpoint_every", self.get("train.checkpoint_every"), least=0)
 
 
 def parse_config(path: str | None, overrides: dict[str, str] | None = None) -> ResolvedConfig:

@@ -144,18 +144,17 @@ def mi_lower_bound(g: Graph, spec: LatentSpec,
         raise ValueError("one logits/targets node pair required per categorical code")
     cat_node = None
     if cat_logits:
-        xent = g.softmax_xent(cat_logits[0], cat_targets[0])
-        for lg, tg in zip(cat_logits[1:], cat_targets[1:]):
-            xent = g.add(xent, g.softmax_xent(lg, tg))
-        cat_node = g.add_scalar(g.neg(xent), spec.cat_entropy())
+        cat_node = g.weighted_sum([(g.softmax_xent(lg, tg), -1.0)
+                                   for lg, tg in zip(cat_logits, cat_targets)],
+                                  spec.cat_entropy())
     cont_node = None
     if spec.n_cont:
         if cont_means is None or cont_targets is None:
             raise ValueError("continuous codes need mean and target nodes")
-        cont_node = g.add_scalar(
-            g.gaussian_loglik(cont_means, cont_targets), spec.cont_entropy())
+        cont_node = g.weighted_sum([(g.gaussian_loglik(cont_means, cont_targets), 1.0)],
+                                   spec.cont_entropy())
     if cat_node is not None and cont_node is not None:
-        total = g.add(cat_node, cont_node)
+        total = g.weighted_sum([(cat_node, 1.0), (cont_node, 1.0)])
     elif cat_node is not None:
         total = cat_node
     elif cont_node is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -58,10 +59,16 @@ class TrainConfig:
             raise ValueError("n_g must be >= 0")
         if self.batch < 1 or self.n_d < 1:
             raise ValueError("batch and n_d must be >= 1")
-        if self.lambda_cat < 0.0 or self.lambda_cont < 0.0:
-            raise ValueError("mutual-information weights must be >= 0")
-        if self.lr_critic <= 0.0 or self.lr_gen <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lr_critic", "lr_gen"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("lambda_cat", "lambda_cont"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         privacy.check_level(self.epsilon, self.delta)
         privacy.check_clip(self.c_p)
 
@@ -143,36 +150,31 @@ class RMSProp:
 
 
 def critic_loss(g: Graph, real_scores: int, fake_scores: int) -> int:
-    """-(mean(real) - mean(fake)); its negation estimates the Wasserstein gap."""
+    """-mean(real) + mean(fake), one weighted-sum node; its negation
+    estimates the Wasserstein gap.  Equal means give +0.0."""
     if g.shape(real_scores)[0] != g.shape(fake_scores)[0]:
         raise ValueError("real and fake batches must match")
     if g.shape(real_scores)[0] < 1:
         raise ValueError("empty batch")
-    return g.neg(g.sub(g.mean(real_scores), g.mean(fake_scores)))
+    return g.weighted_sum([(g.mean(real_scores), -1.0), (g.mean(fake_scores), 1.0)])
+
+
+def _mi_terms(mi: MiBound, lambda_cat: float, lambda_cont: float) -> list[tuple[int, float]]:
+    """The weighted code-recovery bound, negated, as weighted_sum terms."""
+    return [(node, -lam) for node, lam in ((mi.cat, lambda_cat), (mi.cont, lambda_cont))
+            if node is not None]
 
 
 def generator_loss(g: Graph, fake_scores: int, mi: MiBound,
                    lambda_cat: float, lambda_cont: float) -> int:
     """-mean(fake scores) minus the weighted code-recovery bound."""
-    loss = g.neg(g.mean(fake_scores))
-    if mi.cat is not None:
-        loss = g.sub(loss, g.scale(mi.cat, lambda_cat))
-    if mi.cont is not None:
-        loss = g.sub(loss, g.scale(mi.cont, lambda_cont))
-    return loss
+    return g.weighted_sum([(g.mean(fake_scores), -1.0),
+                           *_mi_terms(mi, lambda_cat, lambda_cont)])
 
 
 def mi_objective(g: Graph, mi: MiBound, lambda_cat: float, lambda_cont: float) -> int:
     """The recovery part of the generator loss, used to move trunk and head."""
-    node = None
-    if mi.cat is not None:
-        node = g.scale(mi.cat, lambda_cat)
-    if mi.cont is not None:
-        part = g.scale(mi.cont, lambda_cont)
-        node = part if node is None else g.add(node, part)
-    if node is None:
-        raise ValueError("no latent codes to recover")
-    return g.neg(node)
+    return g.weighted_sum(_mi_terms(mi, lambda_cat, lambda_cont))
 
 
 @dataclass

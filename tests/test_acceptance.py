@@ -65,9 +65,9 @@ def _random_graph(index: int):
             store.add(f"b{i}", rng.normal(0.0, 0.2, size=widths[i + 1]))
             h = getattr(g, act)(g.affine(h, g.param(f"w{i}", (widths[i], widths[i + 1])),
                                          g.param(f"b{i}", (widths[i + 1],))))
-        total = g.scale(g.mean(h), float(batch * widths[-1]))  # the sum of h
-        loss = g.add_scalar(g.scale(g.add(g.mean(h), total), 0.7), 1.3)
-        loss = g.sub(loss, g.neg(g.mean(x)))
+        total = g.weighted_sum([(g.mean(h), float(batch * widths[-1]))])  # the sum of h
+        loss = g.weighted_sum([(g.weighted_sum([(g.mean(h), 1.0), (total, 1.0)]), 0.7)], 1.3)
+        loss = g.weighted_sum([(loss, 1.0), (g.weighted_sum([(g.mean(x), -1.0)]), -1.0)])
         inputs = {"x": rng.normal(size=(batch, widths[0]))}
     elif kind == 3:
         k, n_cont, d = 4, 2, 3
@@ -80,8 +80,8 @@ def _random_graph(index: int):
         means = g.affine(x, g.param("wm", (d, n_cont)), g.param("bm", (n_cont,)))
         onehot = np.zeros((batch, k))
         onehot[np.arange(batch), rng.integers(0, k, batch)] = 1.0
-        loss = g.sub(g.softmax_xent(logits, g.input("t", (batch, k))),
-                     g.gaussian_loglik(means, g.input("u", (batch, n_cont))))
+        loss = g.weighted_sum([(g.softmax_xent(logits, g.input("t", (batch, k))), 1.0),
+                               (g.gaussian_loglik(means, g.input("u", (batch, n_cont))), -1.0)])
         u = rng.normal(size=(batch, n_cont))
         inputs = {"x": rng.normal(size=(batch, d)), "t": onehot, "u": u}
     else:

@@ -106,13 +106,57 @@ class TestForward:
             g.gaussian_loglik(logits, g.tanh(logits))
 
 
+class TestWeightedSum:
+    def test_matches_the_arithmetic_it_replaces_bit_for_bit(self):
+        def same_bits(got, want):
+            return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            shape = ((), (3,), (2, 3))[trial % 3]
+            v = {n: rng.normal(size=shape) * 10.0 ** float(rng.integers(-3, 4))
+                 for n in ("a", "b", "x0", "x1", "m", "c", "k")}
+            scale, h = (float(rng.normal()) for _ in range(2))
+            lam_c, lam_k = (float(rng.choice([0.0, 0.1, 1.0, abs(rng.normal())]))
+                            for _ in range(2))
+            g = Graph()
+            x = {n: g.input(n, shape) for n in v}
+            cases = [
+                (g.weighted_sum([(x["a"], -1.0), (x["b"], 1.0)]), -(v["a"] - v["b"])),
+                (g.weighted_sum([(x["a"], scale)]), scale * v["a"]),
+                (g.weighted_sum([(x["a"], 1.0)], h), v["a"] + h),
+                (g.weighted_sum([(x["x0"], -1.0), (x["x1"], -1.0)], h),
+                 -(v["x0"] + v["x1"]) + h),
+                (g.weighted_sum([(x["m"], -1.0), (x["c"], -lam_c), (x["k"], -lam_k)]),
+                 ((-v["m"]) - lam_c * v["c"]) - lam_k * v["k"]),
+            ]
+            acts = forward(g, ParamStore(), v)
+            for i, (node, want) in enumerate(cases):
+                assert same_bits(acts[node], want), (trial, i)
+
+        g = Graph()
+        z = g.input("z", (2,))
+        bare, shifted = g.weighted_sum([(z, 1.0)]), g.weighted_sum([(z, 1.0)], 0.0)
+        acts = forward(g, ParamStore(), {"z": np.array([-0.0, 0.0])})
+        assert list(np.signbit(acts[bare])) == [True, False]  # no constant: -0.0 kept
+        assert same_bits(acts[shifted], np.array([-0.0, 0.0]) + 0.0)
+
+    def test_rejects_no_terms_and_unequal_shapes(self):
+        g = Graph()
+        a, b = g.input("a", (2, 3)), g.input("b", (3, 2))
+        with pytest.raises(GraphError):
+            g.weighted_sum([])
+        with pytest.raises(ShapeError):
+            g.weighted_sum([(a, 1.0), (b, 1.0)])
+
+
 BAD_VALUES = (np.inf, -np.inf, np.nan)
 
 
 def _graph_with_one_bad_value(seed: int):
     """A random graph over every op kind with one inf or NaN injected at a
-    random node: one entry of an input or param, or an add_scalar or
-    scale node whose constant is the bad value.  After an injected node,
+    random node: one entry of an input or param, or a weighted_sum node
+    whose constant or weight is the bad value.  After an injected node,
     relu or tanh follows half the time, so relu(-inf) and tanh(+-inf)
     masking is exercised.  Returns (graph, store, inputs)."""
     rng = np.random.default_rng(seed)
@@ -134,22 +178,24 @@ def _graph_with_one_bad_value(seed: int):
     for step in range(steps):
         a = rows[int(rng.integers(len(rows)))]
         if step == inject:
-            op = g.add_scalar if rng.random() < 0.5 else g.scale
-            rows.append(op(a, bad))
+            rows.append(g.weighted_sum([(a, 1.0)], bad) if rng.random() < 0.5
+                        else g.weighted_sum([(a, bad)]))
             if rng.random() < 0.5:
                 rows.append(g.relu(rows[-1]) if rng.random() < 0.5 else g.tanh(rows[-1]))
             continue
         kind = int(rng.integers(9))
         if kind == 0:
             rows.append(g.affine(a, wn, bn))
-        elif kind < 5:
-            rows.append(getattr(g, ("tanh", "relu", "leaky_relu", "neg")[kind - 1])(a))
+        elif kind < 4:
+            rows.append(getattr(g, ("tanh", "relu", "leaky_relu")[kind - 1])(a))
+        elif kind == 4:
+            rows.append(g.weighted_sum([(a, -1.0)]))
         elif kind == 5:
-            rows.append(g.scale(a, float(rng.normal())) if rng.random() < 0.5
-                        else g.add_scalar(a, float(rng.normal())))
+            rows.append(g.weighted_sum([(a, float(rng.normal()))]) if rng.random() < 0.5
+                        else g.weighted_sum([(a, 1.0)], float(rng.normal())))
         elif kind == 6:
             other = rows[int(rng.integers(len(rows)))]
-            rows.append(g.add(a, other) if rng.random() < 0.5 else g.sub(a, other))
+            rows.append(g.weighted_sum([(a, 1.0), (other, 1.0 if rng.random() < 0.5 else -1.0)]))
         else:  # scalar sinks
             (g.mean, lambda v: g.softmax_xent(v, t), lambda v: g.gaussian_loglik(v, t))[
                 int(rng.integers(3))](a)
@@ -172,10 +218,10 @@ class TestFiniteChecks:
     def test_masking_op_names_the_node_before_it(self, act, bad):
         g = Graph()
         x = g.input("x", (2, 2))
-        hot = g.add_scalar(x, bad)
+        hot = g.weighted_sum([(x, 1.0)], bad)
         g.mean(getattr(g, act)(hot))
         with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteError, match=f"node {hot} \\(add_scalar\\)"):
+                pytest.raises(NonFiniteError, match=f"node {hot} \\(weighted_sum\\)"):
             forward(g, ParamStore(), {"x": np.zeros((2, 2))})
 
     def test_fast_pass_raises_iff_full_pass_and_names_the_first_node(self):
@@ -299,7 +345,7 @@ class TestBackward:
         g, store, _, out = affine_net([3, 5, 2], seed=7)
         l1 = g.mean(g.tanh(out))
         l2 = g.mean(g.relu(out))
-        total = g.add(l1, l2)
+        total = g.weighted_sum([(l1, 1.0), (l2, 1.0)])
         x = np.random.default_rng(8).normal(size=(4, 3))
         acts = forward(g, store, {"x": x})
         g1 = {k: v.copy() for k, v in backward(g, store, acts, l1).items()}
@@ -310,7 +356,8 @@ class TestBackward:
 
 
 def branched_net(seed=0, batch=5):
-    """Two branches over one input, a param used twice, a second input, add and sub."""
+    """Two branches over one input, a param used twice, a second input and
+    weighted sums over matrices and scalars."""
     rng = np.random.default_rng(seed)
     g = Graph()
     store = ParamStore()
@@ -321,10 +368,11 @@ def branched_net(seed=0, batch=5):
     x = g.input("x", (batch, 3))
     ha = g.tanh(g.affine(x, p["a.W"], p["a.b"]))
     hb = g.leaky_relu(g.affine(x, p["b.W"], p["b.b"]))
-    h = g.sub(g.add(ha, hb), g.input("c", (batch, 4)))
+    h = g.weighted_sum([(ha, 1.0), (hb, 1.0), (g.input("c", (batch, 4)), -1.0)])
     out = g.affine(g.relu(h), p["h.W"], p["h.b"])
     again = g.affine(ha, g.param("h.W", (4, 2)), p["h.b"])
-    loss = g.add(g.mean(out), g.scale(g.mean(g.neg(again)), 0.5))
+    loss = g.weighted_sum([(g.mean(out), 1.0),
+                           (g.mean(g.weighted_sum([(again, -1.0)])), 0.5)])
     c = rng.normal(size=(batch, 4))
     return g, store, {"x": rng.normal(size=(batch, 3)), "c": c}, loss
 
@@ -367,16 +415,21 @@ class TestPrunedBackward:
         assert (grads["b.W"] == 0.0).all()
 
 
+# weighted_sum is keyed by the arithmetic form it takes: one term with a
+# negative weight, a constant shift, negation, a sum, a difference, and
+# several terms over matrices with a constant
 OP_BUILDERS = {
     "tanh": lambda g, x: g.mean(g.tanh(x)),
     "relu": lambda g, x: g.mean(g.relu(x)),
     "leaky_relu": lambda g, x: g.mean(g.leaky_relu(x)),
     "mean": lambda g, x: g.mean(x),
-    "scale": lambda g, x: g.scale(g.mean(x), -2.5),
-    "add_scalar": lambda g, x: g.add_scalar(g.mean(x), 3.0),
-    "neg": lambda g, x: g.neg(g.mean(x)),
-    "add": lambda g, x: g.add(g.mean(x), g.mean(g.tanh(x))),
-    "sub": lambda g, x: g.sub(g.mean(x), g.mean(g.tanh(x))),
+    "scale": lambda g, x: g.weighted_sum([(g.mean(x), -2.5)]),
+    "add_scalar": lambda g, x: g.weighted_sum([(g.mean(x), 1.0)], 3.0),
+    "neg": lambda g, x: g.weighted_sum([(g.mean(x), -1.0)]),
+    "add": lambda g, x: g.weighted_sum([(g.mean(x), 1.0), (g.mean(g.tanh(x)), 1.0)]),
+    "sub": lambda g, x: g.weighted_sum([(g.mean(x), 1.0), (g.mean(g.tanh(x)), -1.0)]),
+    "weighted_sum": lambda g, x: g.mean(g.weighted_sum(
+        [(x, 0.5), (g.tanh(x), -2.0), (g.relu(x), 1.25)], -0.75)),
 }
 
 
@@ -393,7 +446,7 @@ class TestGradCheck:
         g = Graph()
         store = ParamStore()
         store.add("w", np.array([[2.0, -3.0, 0.5]]))
-        loss = g.mean(g.scale(g.param("w", (1, 3)), 1.75))
+        loss = g.mean(g.weighted_sum([(g.param("w", (1, 3)), 1.75)]))
         assert grad_check(g, store, {}, loss, h=1e-5) < 1e-10
 
     def test_deep_tanh_net(self):
@@ -430,7 +483,7 @@ class TestGradCheck:
         xent = g.softmax_xent(logits, g.input("t", (6, 5)))
         means = g.affine(x, g.param("wm", (3, 2)), g.param("bm", (2,)))
         gll = g.gaussian_loglik(means, g.input("u", (6, 2)))
-        loss = g.sub(xent, gll)
+        loss = g.weighted_sum([(xent, 1.0), (gll, -1.0)])
         inputs = {"t": onehot, "u": rng.normal(size=(6, 2)), "x": rng.normal(size=(6, 3))}
         assert grad_check(g, store, inputs, loss, h=1e-5) < 1e-6
 

@@ -329,6 +329,25 @@ class TestCmdTrain:
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("extra, flags, key", [
+        ({"train.lr_critic": "nan"}, [], "lr_critic"),
+        ({"train.lr_gen": "inf"}, [], "lr_gen"),
+        ({"train.lambda_cat": "nan"}, [], "lambda_cat"),
+        ({"train.lambda_cont": "inf"}, [], "lambda_cont"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"train.checkpoint_every": "-1"}, [], "train.checkpoint_every"),
+    ], ids=["lr_critic-nan", "lr_gen-inf", "lambda_cat-nan", "lambda_cont-inf",
+            "seed-negative", "checkpoint_every-negative"])
+    def test_out_of_range_value_named_before_any_file(self, tmp_path, capsys,
+                                                      extra, flags, key):
+        cfg = fast_config_file(tmp_path, **extra)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["train", "--config", cfg, *flags, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{key} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_every(self, tmp_path):
         cfg = fast_config_file(tmp_path, **{"train.ng": "4",
                                             "train.checkpoint_every": "2"})

@@ -202,7 +202,7 @@ class TestMiLowerBound:
         onehot[np.arange(6), rng.integers(0, 5, 6)] = 1.0
         mi = mi_lower_bound(g, spec, [logits], [g.input("cat0", (6, 5))], means,
                             g.input("cont", (6, 1)))
-        loss = g.neg(mi.total)
+        loss = g.weighted_sum([(mi.total, -1.0)])
         inputs = {"cat0": onehot, "cont": rng.uniform(-1, 1, size=(6, 1)),
                   "x": rng.normal(size=(6, 3))}
         assert grad_check(g, store, inputs, loss, h=1e-5) < 1e-6

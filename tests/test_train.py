@@ -94,6 +94,20 @@ class TestGeneratorLoss:
                 - 0.1 * float(acts[mi.cont]))
         assert float(acts[loss]) == pytest.approx(want, abs=1e-12)
 
+    def test_generator_step_objectives_are_single_weighted_sums(self):
+        spec = LatentSpec(z_dim=3, categorical=(4, 3), continuous=((-1.0, 1.0),))
+        cfg = small_config(latent=spec, lambda_cat=0.5, lambda_cont=0.25)
+        tr = build_trainer(cfg, mixture())
+        sg = tr.gen_graph
+        nodes = sg.graph.nodes
+        loss, mi_loss = nodes[sg.loss], nodes[sg.mi_loss]
+        assert loss.op == mi_loss.op == "weighted_sum"
+        assert nodes[loss.args[0]].op == "mean"
+        assert loss.args[1:] == mi_loss.args == (sg.mi.cat, sg.mi.cont)
+        assert loss.w == (-1.0, -0.5, -0.25)
+        assert mi_loss.w == (-0.5, -0.25)
+        assert loss.k is None and mi_loss.k is None
+
     def test_gradient_reaches_generator_and_recovery_head(self):
         data = mixture()
         cfg = small_config()
