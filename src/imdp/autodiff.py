@@ -25,7 +25,7 @@ reads (e.g. ``g @ W.T`` into an input leaf).
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,50 +65,58 @@ class Run(NamedTuple):
 
 
 class ParamStore:
-    """Named parameters with matching gradient slots.
+    """Named parameters with matching gradient slots, in one flat layout.
 
-    Parameter arrays are owned by the store and mutated in place by
-    optimizers and clipping, never replaced, so several views (e.g. a
-    merged store used by a composite graph) observe a single storage
-    location per name.
-
-    ``union`` lays its members' parameters out in one contiguous buffer,
-    and their gradient slots in another, in member order, and rebinds the
-    members to views of them.  ``runs(names)`` then yields the fewest 1-D
-    runs covering ``names``: names laid out side by side share one run,
-    so an elementwise pass (an optimizer, clipping, noise) makes one numpy
-    call per run instead of one per tensor, with the same arithmetic on
-    every entry.
-
-    The gradient slots are zero-filled on the first read of ``grads``
-    (by ``backward``, an optimizer or the noise) or by ``union``, and
-    ``add`` makes a slot only once they exist.  So a store that is only run
-    forward, such as a net loaded to evaluate or generate, holds its
+    ``ParamStore(params)`` copies a name -> array mapping into one
+    contiguous float64 buffer, in mapping order, and each parameter is a
+    view of its stretch.  The gradient slots are views of a second buffer
+    with the same layout, made zero-filled on the first read of ``grads``
+    (by ``backward``, an optimizer or the noise).  So a store that is only
+    run forward, such as a net loaded to evaluate or generate, holds its
     parameters alone.
+
+    Parameter arrays are mutated in place by optimizers and clipping,
+    never replaced, so several views (e.g. a merged store used by a
+    composite graph) observe a single storage location per name.
+
+    ``union`` concatenates its members' buffers, in member order, and
+    rebinds each member to its stretch of the result.  ``runs(names)``
+    then yields the fewest 1-D runs covering ``names``: names laid out
+    side by side share one run, so an elementwise pass (an optimizer,
+    clipping, noise) makes one numpy call per run instead of one per
+    tensor, with the same arithmetic on every entry.
     """
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] | None = None
-        # set by union: the shared flat buffers and each name's [start, stop) in them
-        self._flat: tuple[np.ndarray, np.ndarray] | None = None
-        self._spans: dict[str, tuple[int, int]] = {}
+    def __init__(self, params: Mapping[str, object]):
+        arrays = {name: as_tensor(value, where=f"param {name!r}")
+                  for name, value in params.items()}
+        # each name's [start, stop) in the buffers, and its shape
+        self._spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        pos = 0
+        for name, arr in arrays.items():
+            self._spans[name] = (pos, pos + arr.size, arr.shape)
+            pos += arr.size
+        self._bind(np.empty(pos), None)
+        for name, arr in arrays.items():
+            self.params[name][...] = arr
+
+    def _bind(self, flat: np.ndarray, flat_grads: np.ndarray | None) -> None:
+        """Point every name at its stretch of these buffers."""
+        self._flat, self._flat_grads = flat, flat_grads
+        self.params: dict[str, np.ndarray] = self._views(flat)
+        self._grads = None if flat_grads is None else self._views(flat_grads)
         self._runs: dict[tuple[str, ...], list[Run]] = {}
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[start:stop].reshape(shape)
+                for name, (start, stop, shape) in self._spans.items()}
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
         if self._grads is None:
-            self._grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+            self._flat_grads = np.zeros_like(self._flat)
+            self._grads = self._views(self._flat_grads)
         return self._grads
-
-    def add(self, name: str, value) -> None:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        arr = as_tensor(value, where=f"param {name!r}")
-        self.params[name] = arr
-        if self._grads is not None:
-            self._grads[name] = np.zeros_like(arr)
-        self._runs.clear()
 
     def names(self) -> list[str]:
         return list(self.params)
@@ -118,7 +126,7 @@ class ParamStore:
 
     def runs(self, names: Iterable[str] | None = None) -> list[Run]:
         """The fewest contiguous runs covering ``names`` (all when None), in
-        their order.  A name outside ``union``'s buffers is a run of its own."""
+        their order."""
         key = tuple(self.params if names is None else names)
         found = self._runs.get(key)
         if found is None:
@@ -126,25 +134,17 @@ class ParamStore:
         return found
 
     def _make_runs(self, names: tuple[str, ...]) -> list[Run]:
-        grads = self.grads
-        groups: list[list] = []  # [names, start, stop]; start is None off the buffers
+        self.grads  # the slots' buffer exists from here on
+        groups: list[list] = []  # [names, start, stop]
         for name in names:
-            span = self._spans.get(name)
-            if span is not None and groups and groups[-1][2] == span[0]:
+            start, stop, _ = self._spans[name]
+            if groups and groups[-1][2] == start:
                 groups[-1][0].append(name)
-                groups[-1][2] = span[1]
+                groups[-1][2] = stop
             else:
-                groups.append([[name], *(span or (None, None))])
-        out = []
-        for group, start, stop in groups:
-            if start is None:
-                name = group[0]
-                out.append(Run((name,), self.params[name].reshape(-1),
-                               grads[name].reshape(-1)))
-            else:
-                flat_params, flat_grads = self._flat
-                out.append(Run(tuple(group), flat_params[start:stop], flat_grads[start:stop]))
-        return out
+                groups.append([[name], start, stop])
+        return [Run(tuple(group), self._flat[start:stop], self._flat_grads[start:stop])
+                for group, start, stop in groups]
 
     @classmethod
     def union(cls, *stores: "ParamStore") -> "ParamStore":
@@ -160,26 +160,18 @@ class ParamStore:
                 if name in seen:
                     raise ValueError(f"parameter name collision: {name!r}")
                 seen.add(name)
-        total = sum(arr.size for store in stores for arr in store.params.values())
-        flat = (np.empty(total), np.zeros(total))
-        merged = cls()
-        merged._flat, merged._grads = flat, {}
+        merged = cls({name: arr for store in stores for name, arr in store.params.items()})
+        flat, flat_grads = merged._flat, np.zeros_like(merged._flat)
+        merged._flat_grads, merged._grads = flat_grads, {}
         pos = 0
         for store in stores:
-            slots = {}
-            for name, arr in store.params.items():
-                stop = pos + arr.size
-                param = flat[0][pos:stop].reshape(arr.shape)
-                param[...] = arr
-                slot = flat[1][pos:stop].reshape(arr.shape)
-                if store._grads is not None:
-                    slot[...] = store._grads[name]
-                store.params[name] = merged.params[name] = param
-                slots[name] = merged._grads[name] = slot
-                store._spans[name] = merged._spans[name] = (pos, stop)
-                pos = stop
-            store._grads, store._flat = slots, flat
-            store._runs.clear()
+            stop = pos + store._flat.size
+            if store._grads is not None:
+                flat_grads[pos:stop] = store._flat_grads
+            store._bind(flat[pos:stop], flat_grads[pos:stop])
+            merged.params.update(store.params)  # one view object per name
+            merged._grads.update(store._grads)
+            pos = stop
         return merged
 
 

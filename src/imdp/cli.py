@@ -276,7 +276,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     seed = _to_int("seed", args.seed, least=0)
-    cont_steps = _to_int("cont-steps", args.cont_steps)
+    cont_steps = _to_int("cont-steps", args.cont_steps, least=2)
     bundle = load_checkpoint(args.checkpoint)
     grid = code_sweep(bundle.gen, bundle.latent, seed=seed, cont_steps=cont_steps)
     out_dir = args.out or "."

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import write_atomic
-from .autodiff import Graph, ParamStore, backward, forward, graph_per_batch
+from .autodiff import Graph, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
 from .latent import LatentSpec, build_codes, uniform_cont
 from .nets import CriticQNet, GeneratorNet, _affine, _init_layers, generate, q_posterior
@@ -93,8 +93,7 @@ class Classifier:
     def __init__(self, dim: int, labels: tuple[int, int], seed: int = 0):
         self.labels = labels
         self.layers = {"c.h": (dim, self.HIDDEN), "c.out": (self.HIDDEN, 2)}
-        self.store = ParamStore()
-        _init_layers(self.store, self.layers, np.random.default_rng(seed))
+        self.store = _init_layers(self.layers, np.random.default_rng(seed))
 
     @graph_per_batch
     def _graph(self, batch: int):
@@ -240,12 +239,11 @@ def dataset_sha256(ds: Dataset) -> str:
 
 
 def _generate_labeled(gen: GeneratorNet, spec: LatentSpec, category: int,
-                      label: int, count: int, rng: np.random.Generator) -> Dataset:
+                      count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` rows at one category of the first code, the others at 0."""
     z = rng.standard_normal((count, spec.z_dim))
     cat_ids = [category] + [0] * (len(spec.categorical) - 1)
-    x = generate(gen, build_codes(spec, z, cat_ids, uniform_cont(spec, count, rng)))
-    return Dataset(x=x, y=np.full(count, label), source=f"generated:cat={category}")
+    return generate(gen, build_codes(spec, z, cat_ids, uniform_cont(spec, count, rng)))
 
 
 def pair_rows(y: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
@@ -266,12 +264,9 @@ def _utility_row(eps: float, gen: GeneratorNet, critic: CriticQNet,
     before the next level generates."""
     mapping, tie = map_categories_to_labels(critic, map_data)
     rng = np.random.default_rng(seed)
-    parts = [_generate_labeled(gen, gen.cfg.latent, mapping[lbl], lbl, per_class, rng)
-             for lbl in pair]
-    train_ds = Dataset(x=np.concatenate([p.x for p in parts]),
-                       y=np.concatenate([p.y for p in parts]),
-                       source=f"generated:eps={eps}")
-    del parts
+    x = np.concatenate([_generate_labeled(gen, gen.cfg.latent, mapping[lbl], per_class, rng)
+                        for lbl in pair])
+    train_ds = Dataset(x=x, y=np.repeat(pair, per_class), source=f"generated:eps={eps}")
     clf = train_binary_classifier(train_ds, epochs=epochs, seed=seed)
     return UtilityRow(epsilon=eps, train_source=train_ds.source,
                       accuracy=clf.accuracy(test), n_train=train_ds.n, n_test=test.n,

@@ -35,8 +35,9 @@ class LatentSpec:
             if k < 2:
                 raise ValueError("categorical code needs K >= 2")
         for lo, hi in self.continuous:
-            if not lo < hi:
-                raise ValueError("continuous code needs low < high")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(
+                    "continuous code must be low:high with low < high and a finite high - low")
 
     @property
     def n_cont(self) -> int:

@@ -69,12 +69,12 @@ def param_shapes(layers: Layers) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _init_layers(store: ParamStore, layers: Layers, rng: np.random.Generator) -> None:
-    for name, shape in param_shapes(layers).items():
-        if name.endswith(".W"):
-            store.add(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
-        else:
-            store.add(name, np.zeros(shape))
+def _init_layers(layers: Layers, rng: np.random.Generator) -> ParamStore:
+    """A fresh store for ``layers``: uniform weights drawn in layer order,
+    zero biases."""
+    return ParamStore({name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+                       if name.endswith(".W") else np.zeros(shape)
+                       for name, shape in param_shapes(layers).items()})
 
 
 def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
@@ -84,9 +84,10 @@ def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
 class GeneratorNet:
     """Noise-plus-codes to data space; output bounded in [-1, 1] by tanh."""
 
+    store: ParamStore  # set by the builder or by load_checkpoint
+
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
-        self.store = ParamStore()
 
     @property
     def input_width(self) -> int:
@@ -100,9 +101,6 @@ class GeneratorNet:
         widths = [self.input_width, *self.cfg.gen_hidden, self.cfg.data_dim]
         names = [*(f"gen.h{i}" for i in range(len(self.cfg.gen_hidden))), "gen.out"]
         return {name: (n_in, n_out) for name, n_in, n_out in zip(names, widths, widths[1:])}
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        _init_layers(self.store, self.layers(), rng)
 
     def param_names(self) -> list[str]:
         return self.store.names_with_prefix("gen.")
@@ -125,7 +123,7 @@ class GeneratorNet:
 def build_generator(cfg: NetConfig) -> GeneratorNet:
     """Fresh generator with deterministic initialization from cfg.seed."""
     net = GeneratorNet(cfg)
-    net.init_params(np.random.default_rng(cfg.seed))
+    net.store = _init_layers(net.layers(), np.random.default_rng(cfg.seed))
     return net
 
 
@@ -150,9 +148,10 @@ class QPosterior:
 class CriticQNet:
     """Scalar critic and code-recovery head on one shared trunk."""
 
+    store: ParamStore  # set by the builder or by load_checkpoint
+
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
-        self.store = ParamStore()
 
     @property
     def data_dim(self) -> int:
@@ -169,9 +168,6 @@ class CriticQNet:
         if self.cfg.latent.n_cont:
             layers["q.cont"] = (top, self.cfg.latent.n_cont)
         return layers
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        _init_layers(self.store, self.layers(), rng)
 
     def critic_path_names(self) -> list[str]:
         """Trunk plus score head: everything updated on real data."""
@@ -214,7 +210,7 @@ class CriticQNet:
 def build_critic(cfg: NetConfig) -> CriticQNet:
     """Fresh critic/recovery net with deterministic initialization."""
     net = CriticQNet(cfg)
-    net.init_params(np.random.default_rng(cfg.seed))
+    net.store = _init_layers(net.layers(), np.random.default_rng(cfg.seed))
     return net
 
 
@@ -300,7 +296,7 @@ def save_checkpoint(path, gen: GeneratorNet, critic: CriticQNet,
 
 class _Reader:
     """Reads a checkpoint through a ``memoryview``: ``take`` slices copy
-    nothing, so each tensor is copied once, out of the file's bytes."""
+    nothing, so the only copy of the tensors is the one the stores make."""
 
     def __init__(self, data: bytes):
         self.data = memoryview(data)
@@ -355,7 +351,7 @@ def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
         if size > len(r.data):
             raise CheckpointError("shape table inconsistent with payload length")
         payload = r.take(8 * size)
-        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
     (blen,) = r.unpack("<I")
     latent, privacy = _parse_spec_block(r.take(blen))
     if r.pos != len(r.data):
@@ -376,5 +372,7 @@ def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
     for name in sorted(params):
         if params[name].shape != want[name]:
             raise CheckpointError(f"parameter {name!r} has unexpected shape")
-        (gen if name.startswith("gen.") else critic).store.add(name, params[name])
+    # the stores copy the tensors out of the file's bytes
+    gen.store = ParamStore({n: params[n] for n in sorted(params) if n.startswith("gen.")})
+    critic.store = ParamStore({n: params[n] for n in sorted(params) if not n.startswith("gen.")})
     return CheckpointBundle(gen=gen, critic=critic, latent=latent, privacy=privacy)

@@ -53,28 +53,29 @@ def _random_graph(index: int):
     rng = np.random.default_rng(1000 + index)
     kind = index % 5
     g = Graph()
-    store = ParamStore()
     batch = int(rng.integers(2, 5))
     if kind < 3:
         act = ("tanh", "relu", "leaky_relu")[kind]
         widths = [int(rng.integers(2, 6)) for _ in range(3)]
         x = g.input("x", (batch, widths[0]))
         h = x
+        params = {}
         for i in range(len(widths) - 1):
-            store.add(f"w{i}", rng.normal(0.0, 0.5, size=(widths[i], widths[i + 1])))
-            store.add(f"b{i}", rng.normal(0.0, 0.2, size=widths[i + 1]))
+            params[f"w{i}"] = rng.normal(0.0, 0.5, size=(widths[i], widths[i + 1]))
+            params[f"b{i}"] = rng.normal(0.0, 0.2, size=widths[i + 1])
             h = getattr(g, act)(g.affine(h, g.param(f"w{i}", (widths[i], widths[i + 1])),
                                          g.param(f"b{i}", (widths[i + 1],))))
+        store = ParamStore(params)
         total = g.weighted_sum([(g.mean(h), float(batch * widths[-1]))])  # the sum of h
         loss = g.weighted_sum([(g.weighted_sum([(g.mean(h), 1.0), (total, 1.0)]), 0.7)], 1.3)
         loss = g.weighted_sum([(loss, 1.0), (g.weighted_sum([(g.mean(x), -1.0)]), -1.0)])
         inputs = {"x": rng.normal(size=(batch, widths[0]))}
     elif kind == 3:
         k, n_cont, d = 4, 2, 3
-        store.add("w", rng.normal(0.0, 0.5, size=(d, k)))
-        store.add("b", rng.normal(0.0, 0.2, size=k))
-        store.add("wm", rng.normal(0.0, 0.5, size=(d, n_cont)))
-        store.add("bm", rng.normal(0.0, 0.2, size=n_cont))
+        store = ParamStore({"w": rng.normal(0.0, 0.5, size=(d, k)),
+                            "b": rng.normal(0.0, 0.2, size=k),
+                            "wm": rng.normal(0.0, 0.5, size=(d, n_cont)),
+                            "bm": rng.normal(0.0, 0.2, size=n_cont)})
         x = g.input("x", (batch, d))
         logits = g.affine(x, g.param("w", (d, k)), g.param("b", (k,)))
         means = g.affine(x, g.param("wm", (d, n_cont)), g.param("bm", (n_cont,)))
@@ -157,9 +158,9 @@ def test_criterion_05_recovery_bound_oracle():
     onehot = np.zeros((4, 10))
     onehot[np.arange(4), [2, 7, 0, 9]] = 1.0
     from imdp.autodiff import forward
-    delta_val = float(forward(g, ParamStore(),
+    delta_val = float(forward(g, ParamStore({}),
                               {"logits": 1000.0 * onehot, "target": onehot})[mi.cat])
-    uniform_val = float(forward(g, ParamStore(),
+    uniform_val = float(forward(g, ParamStore({}),
                                 {"logits": np.zeros((4, 10)), "target": onehot})[mi.cat])
     exact = delta_val == math.log(10) and uniform_val == 0.0
 
@@ -173,7 +174,7 @@ def test_criterion_05_recovery_bound_oracle():
     idx = rng.integers(0, 10, batch)
     onehot_v = np.zeros((batch, 10))
     onehot_v[np.arange(batch), idx] = 1.0
-    got = float(forward(g2, ParamStore(), {"logits": logits_v, "target": onehot_v})[mi2.cat])
+    got = float(forward(g2, ParamStore({}), {"logits": logits_v, "target": onehot_v})[mi2.cat])
     acc = 0.0
     for i in range(batch):
         row = [math.exp(v) for v in logits_v[i]]
@@ -230,8 +231,7 @@ def test_criterion_08_recovery_bound_degradation(trend_suite):
 
 
 def test_criterion_09_noise_statistics():
-    store = ParamStore()
-    store.add("g", np.zeros(100000))
+    store = ParamStore({"g": np.zeros(100000)})
     perturb_gradient(store, 1.0, 0.01, np.random.default_rng(77))
     draws = store.grads["g"]
     se = 0.01 / math.sqrt(draws.size)

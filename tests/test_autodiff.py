@@ -9,18 +9,18 @@ def affine_net(widths, seed=0, batch=4, act="tanh"):
     """Small stack used across tests; returns (graph, store, input node, out node)."""
     rng = np.random.default_rng(seed)
     g = Graph()
-    store = ParamStore()
+    params = {}
     x = g.input("x", (batch, widths[0]))
     h = x
     for i in range(len(widths) - 1):
-        store.add(f"w{i}", rng.normal(0.0, 0.4, size=(widths[i], widths[i + 1])))
-        store.add(f"b{i}", rng.normal(0.0, 0.1, size=widths[i + 1]))
+        params[f"w{i}"] = rng.normal(0.0, 0.4, size=(widths[i], widths[i + 1]))
+        params[f"b{i}"] = rng.normal(0.0, 0.1, size=widths[i + 1])
         w = g.param(f"w{i}", (widths[i], widths[i + 1]))
         b = g.param(f"b{i}", (widths[i + 1],))
         h = g.affine(h, w, b)
         if i < len(widths) - 2:
             h = getattr(g, act)(h)
-    return g, store, x, h
+    return g, ParamStore(params), x, h
 
 
 class TestForward:
@@ -28,14 +28,12 @@ class TestForward:
         g = Graph()
         x = g.input("x", (2, 3))
         t = np.arange(6.0).reshape(2, 3)
-        acts = forward(g, ParamStore(), {"x": t})
+        acts = forward(g, ParamStore({}), {"x": t})
         np.testing.assert_array_equal(acts[x], t)
 
     def test_affine_zero_weights_yields_bias(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.zeros((3, 2)))
-        store.add("b", np.array([1.5, -2.0]))
+        store = ParamStore({"w": np.zeros((3, 2)), "b": np.array([1.5, -2.0])})
         x = g.input("x", (4, 3))
         out = g.affine(x, g.param("w", (3, 2)), g.param("b", (2,)))
         acts = forward(g, store, {"x": np.random.default_rng(0).normal(size=(4, 3))})
@@ -66,13 +64,11 @@ class TestForward:
         g = Graph()
         g.input("x", (1, 2))
         with pytest.raises(NonFiniteError):
-            forward(g, ParamStore(), {"x": np.array([[np.nan, 0.0]])})
+            forward(g, ParamStore({}), {"x": np.array([[np.nan, 0.0]])})
 
     def test_affine_overflow_into_tanh_names_the_affine_node(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.full((2, 2), 1e300))
-        store.add("b", np.zeros(2))
+        store = ParamStore({"w": np.full((2, 2), 1e300), "b": np.zeros(2)})
         x = g.input("x", (1, 2))
         pre = g.affine(x, g.param("w", (2, 2)), g.param("b", (2,)))
         g.tanh(pre)
@@ -84,11 +80,11 @@ class TestForward:
         g = Graph()
         g.input("x", (1, 2))
         with pytest.raises(GraphError):
-            forward(g, ParamStore(), {})
+            forward(g, ParamStore({}), {})
 
     def test_softmax_xent_zero_logits_is_log_k(self):
         g = Graph()
-        store = ParamStore()
+        store = ParamStore({})
         logits = g.input("logits", (4, 10))
         onehot = np.zeros((4, 10))
         onehot[np.arange(4), [0, 3, 7, 9]] = 1.0
@@ -130,14 +126,14 @@ class TestWeightedSum:
                 (g.weighted_sum([(x["m"], -1.0), (x["c"], -lam_c), (x["k"], -lam_k)]),
                  ((-v["m"]) - lam_c * v["c"]) - lam_k * v["k"]),
             ]
-            acts = forward(g, ParamStore(), v)
+            acts = forward(g, ParamStore({}), v)
             for i, (node, want) in enumerate(cases):
                 assert same_bits(acts[node], want), (trial, i)
 
         g = Graph()
         z = g.input("z", (2,))
         bare, shifted = g.weighted_sum([(z, 1.0)]), g.weighted_sum([(z, 1.0)], 0.0)
-        acts = forward(g, ParamStore(), {"z": np.array([-0.0, 0.0])})
+        acts = forward(g, ParamStore({}), {"z": np.array([-0.0, 0.0])})
         assert list(np.signbit(acts[bare])) == [True, False]  # no constant: -0.0 kept
         assert same_bits(acts[shifted], np.array([-0.0, 0.0]) + 0.0)
 
@@ -160,11 +156,10 @@ def _graph_with_one_bad_value(seed: int):
     relu or tanh follows half the time, so relu(-inf) and tanh(+-inf)
     masking is exercised.  Returns (graph, store, inputs)."""
     rng = np.random.default_rng(seed)
-    g, store = Graph(), ParamStore()
+    g = Graph()
     b, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     inputs = {name: rng.normal(size=(b, w)) for name in ("x0", "x1", "t")}
-    store.add("w", rng.normal(size=(w, w)))
-    store.add("b", rng.normal(size=w))
+    store = ParamStore({"w": rng.normal(size=(w, w)), "b": rng.normal(size=w)})
     rows = [g.input("x0", (b, w)), g.input("x1", (b, w))]
     t = g.input("t", (b, w))
     wn, bn = g.param("w", (w, w)), g.param("b", (w,))
@@ -222,7 +217,7 @@ class TestFiniteChecks:
         g.mean(getattr(g, act)(hot))
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NonFiniteError, match=f"node {hot} \\(weighted_sum\\)"):
-            forward(g, ParamStore(), {"x": np.zeros((2, 2))})
+            forward(g, ParamStore({}), {"x": np.zeros((2, 2))})
 
     def test_fast_pass_raises_iff_full_pass_and_names_the_first_node(self):
         for seed in range(400):
@@ -249,9 +244,7 @@ class TestFiniteChecks:
 class TestBackward:
     def test_linear_loss_gradient_equals_input(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.zeros((3, 1)))
-        store.add("b", np.zeros(1))
+        store = ParamStore({"w": np.zeros((3, 1)), "b": np.zeros(1)})
         x_val = np.array([[1.0, -2.0, 3.0]])
         x = g.input("x", (1, 3))
         out = g.affine(x, g.param("w", (3, 1)), g.param("b", (1,)))
@@ -263,12 +256,9 @@ class TestBackward:
 
     def test_unused_parameter_gets_zero_gradient(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.ones((2, 2)))
-        store.add("dead", np.ones((3, 3)))
+        store = ParamStore({"w": np.ones((2, 2)), "dead": np.ones((3, 3)), "b": np.zeros(2)})
         x = g.input("x", (2, 2))
         out = g.affine(x, g.param("w", (2, 2)), g.param("b", (2,)))
-        store.add("b", np.zeros(2))
         loss = g.mean(out)
         acts = forward(g, store, {"x": np.ones((2, 2))})
         grads = backward(g, store, acts, loss)
@@ -278,8 +268,8 @@ class TestBackward:
         x = np.random.default_rng(4).normal(size=(4, 3))
         g, stale, _, out = affine_net([3, 5, 2], seed=3)
         _, fresh, _, _ = affine_net([3, 5, 2], seed=3)
-        for store in (stale, fresh):
-            store.add("dead", np.ones(3))
+        stale, fresh = (ParamStore({**store.params, "dead": np.ones(3)})
+                        for store in (stale, fresh))
         for slot in stale.grads.values():
             slot[...] = 7.0
         loss = g.mean(out)
@@ -297,8 +287,7 @@ class TestBackward:
         g = Graph()
         y = g.leaky_relu(g.param("w", x.shape))
         loss = g.gaussian_loglik(y, g.input("t", x.shape))
-        store = ParamStore()
-        store.add("w", x)
+        store = ParamStore({"w": x})
         acts = forward(g, store, {"t": t})
         want_y = np.where(x > 0.0, x, LEAKY_SLOPE * x)
         assert acts[y].tobytes() == want_y.tobytes()
@@ -312,9 +301,7 @@ class TestBackward:
         g = Graph()
         out = g.affine(g.param("h", h.shape), g.param("w", w.shape), g.param("b", (1,)))
         loss = g.gaussian_loglik(out, g.input("t", t.shape))
-        store = ParamStore()
-        for name, value in (("h", h), ("w", w), ("b", np.zeros(1))):
-            store.add(name, value)
+        store = ParamStore({"h": h, "w": w, "b": np.zeros(1)})
         acts = forward(g, store, {"t": t})
         cot = 1.0 * (t - acts[out]) / t.shape[0]
         got = backward(g, store, acts, loss, wrt=["h"])["h"]
@@ -360,10 +347,9 @@ def branched_net(seed=0, batch=5):
     weighted sums over matrices and scalars."""
     rng = np.random.default_rng(seed)
     g = Graph()
-    store = ParamStore()
-    for name, shape in [("a.W", (3, 4)), ("a.b", (4,)), ("b.W", (3, 4)),
-                        ("b.b", (4,)), ("h.W", (4, 2)), ("h.b", (2,))]:
-        store.add(name, rng.normal(0.0, 0.5, size=shape))
+    store = ParamStore({name: rng.normal(0.0, 0.5, size=shape)
+                        for name, shape in [("a.W", (3, 4)), ("a.b", (4,)), ("b.W", (3, 4)),
+                                            ("b.b", (4,)), ("h.W", (4, 2)), ("h.b", (2,))]})
     p = {name: g.param(name, store.params[name].shape) for name in store.params}
     x = g.input("x", (batch, 3))
     ha = g.tanh(g.affine(x, p["a.W"], p["a.b"]))
@@ -436,16 +422,14 @@ OP_BUILDERS = {
 class TestGradCheck:
     def test_quadratic_loss_tight(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.array([[0.7, -1.2]]))
+        store = ParamStore({"w": np.array([[0.7, -1.2]])})
         w = g.param("w", (1, 2))
         loss = g.mean(g.tanh(w))  # smooth scalar function of parameters
         assert grad_check(g, store, {}, loss, h=1e-5) < 1e-8
 
     def test_linear_loss_near_machine_epsilon(self):
         g = Graph()
-        store = ParamStore()
-        store.add("w", np.array([[2.0, -3.0, 0.5]]))
+        store = ParamStore({"w": np.array([[2.0, -3.0, 0.5]])})
         loss = g.mean(g.weighted_sum([(g.param("w", (1, 3)), 1.75)]))
         assert grad_check(g, store, {}, loss, h=1e-5) < 1e-10
 
@@ -471,11 +455,8 @@ class TestGradCheck:
     def test_softmax_xent_and_gaussian_loglik_ops(self):
         rng = np.random.default_rng(12)
         g = Graph()
-        store = ParamStore()
-        store.add("w", rng.normal(0.0, 0.5, size=(3, 5)))
-        store.add("b", np.zeros(5))
-        store.add("wm", rng.normal(0.0, 0.5, size=(3, 2)))
-        store.add("bm", np.zeros(2))
+        store = ParamStore({"w": rng.normal(0.0, 0.5, size=(3, 5)), "b": np.zeros(5),
+                            "wm": rng.normal(0.0, 0.5, size=(3, 2)), "bm": np.zeros(2)})
         x = g.input("x", (6, 3))
         logits = g.affine(x, g.param("w", (3, 5)), g.param("b", (5,)))
         onehot = np.zeros((6, 5))
@@ -489,41 +470,52 @@ class TestGradCheck:
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", np.zeros(2))
-        with pytest.raises(ValueError):
-            store.add("w", np.zeros(2))
+    def test_mapping_is_laid_out_as_one_run_in_mapping_order(self):
+        w, b = np.arange(6.0).reshape(2, 3), np.array([-1.0, 0.5, 2.0])
+        store = ParamStore({"w": w, "b": b, "s": 4.0 * np.ones(1)})
+        assert store.names() == ["w", "b", "s"]
+        (run,) = store.runs()
+        assert run.names == ("w", "b", "s") and run.params.size == 10
+        assert run.params.tobytes() == np.concatenate([w.ravel(), b, [4.0]]).tobytes()
+        for name, arr in store.params.items():
+            assert np.shares_memory(arr, run.params), name
+        assert [run.names for run in store.runs(["s", "w", "b"])] == [("s",), ("w", "b")]
+
+    def test_grads_stay_unmade_until_read(self):
+        store = ParamStore({"w": np.ones((2, 3)), "b": np.ones(3)})
+        assert store._grads is None
+        assert not store.grads["w"].any() and not store.grads["b"].any()
+        (run,) = store.runs()
+        for name in store.params:
+            assert np.shares_memory(store.grads[name], run.grads), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="param 'b'"):
+            ParamStore({"w": np.zeros(2), "b": np.array([0.0, bad])})
+
+    def test_store_copies_the_arrays_it_is_given(self):
+        w = np.ones((2, 2))
+        store = ParamStore({"w": w})
+        store.params["w"][...] = 3.0
+        assert (w == 1.0).all()
+        assert not np.shares_memory(store.params["w"], w)
 
     def test_grad_slot_shapes_match(self):
-        store = ParamStore()
-        store.add("w", np.zeros((2, 3)))
-        store.add("b", np.zeros(3))
+        store = ParamStore({"w": np.zeros((2, 3)), "b": np.zeros(3)})
         for name in store.params:
             assert store.grads[name].shape == store.params[name].shape
 
     def test_union_shares_storage(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("x", np.zeros(2))
-        b.add("y", np.ones(2))
+        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"y": np.ones(2)})
         u = ParamStore.union(a, b)
         u.params["x"][0] = 7.0
         assert a.params["x"][0] == 7.0
 
     def test_union_shares_gradient_slots(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("x", np.zeros(2))
-        b.add("y", np.ones(3))
+        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"y": np.ones(3)})
         u = ParamStore.union(a, b)
         assert u.grads["x"] is a.grads["x"] and u.grads["y"] is b.grads["y"]
-
-    def test_slots_are_made_on_first_read_and_then_by_add(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 3)))
-        assert store._grads is None
-        assert not store.grads["w"].any()
-        store.add("b", np.ones(3))
-        assert store.grads["b"].shape == (3,) and not store.grads["b"].any()
 
     def test_backward_fills_slots_never_read(self):
         x = np.random.default_rng(4).normal(size=(4, 3))
@@ -539,9 +531,8 @@ class TestParamStore:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_union_lays_members_out_in_one_buffer(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("x", np.arange(6.0).reshape(2, 3))
-        b.add("y", np.ones(4))
+        a = ParamStore({"x": np.arange(6.0).reshape(2, 3)})
+        b = ParamStore({"y": np.ones(4)})
         b.grads["y"][...] = 2.0
         u = ParamStore.union(a, b)
         (run,) = u.runs()
@@ -557,20 +548,14 @@ class TestParamStore:
         assert b.params["y"][-1] == 5.0 and a.grads["x"][0, 0] == 3.0
 
     def test_runs_merge_only_neighbours_in_a_buffer(self):
-        a = ParamStore()
-        for name in ("p", "q", "r"):
-            a.add(name, np.zeros(2))
-        assert [run.names for run in a.runs()] == [("p",), ("q",), ("r",)]
+        a = ParamStore({name: np.zeros(2) for name in ("p", "q", "r")})
         u = ParamStore.union(a)
         assert [run.names for run in u.runs(["p", "r"])] == [("p",), ("r",)]
         assert [run.names for run in u.runs(["q", "r", "p"])] == [("q", "r"), ("p",)]
-        a.add("s", np.zeros(2))
-        assert [run.names for run in a.runs()] == [("p", "q", "r"), ("s",)]
+        assert [run.names for run in a.runs()] == [("p", "q", "r")]
 
     def test_union_rejects_collisions(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("x", np.zeros(2))
-        b.add("x", np.ones(2))
+        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"x": np.ones(2)})
         with pytest.raises(ValueError):
             ParamStore.union(a, b)
 

@@ -336,8 +336,11 @@ class TestCmdTrain:
         ({"train.lambda_cont": "inf"}, [], "lambda_cont"),
         ({}, ["--seed", "-1"], "seed"),
         ({"train.checkpoint_every": "-1"}, [], "train.checkpoint_every"),
+        ({"latent.cont": "-inf:inf"}, [], "continuous code"),
+        ({"latent.cont": "0:inf"}, [], "continuous code"),
     ], ids=["lr_critic-nan", "lr_gen-inf", "lambda_cat-nan", "lambda_cont-inf",
-            "seed-negative", "checkpoint_every-negative"])
+            "seed-negative", "checkpoint_every-negative", "cont-unbounded",
+            "cont-infinite-width"])
     def test_out_of_range_value_named_before_any_file(self, tmp_path, capsys,
                                                       extra, flags, key):
         cfg = fast_config_file(tmp_path, **extra)
@@ -491,6 +494,7 @@ class TestCmdGenerate:
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--cont-steps", "x", "cont-steps: expected integer, got 'x'"),
+        ("--cont-steps", "1", "cont-steps must be >= 2, got 1"),
     ])
     def test_bad_flag_named_before_loading(self, tmp_path, capsys, flag, value, message):
         code = main(["generate", "--checkpoint", str(tmp_path / "none.ckpt"),

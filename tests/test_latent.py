@@ -28,6 +28,9 @@ class TestLatentSpec:
         dict(z_dim=0),
         dict(z_dim=2, categorical=(1,)),
         dict(z_dim=2, continuous=((1.0, -1.0),)),
+        dict(z_dim=2, continuous=((-np.inf, np.inf),)),
+        dict(z_dim=2, continuous=((0.0, np.inf),)),
+        dict(z_dim=2, continuous=((-1e308, 1e308),)),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -126,14 +129,14 @@ class TestMiLowerBound:
         g, mi, _ = build_mi_graph(batch=4)
         onehot = np.zeros((4, 10))
         onehot[np.arange(4), [1, 5, 0, 9]] = 1.0
-        acts = forward(g, ParamStore(), {"logits": 1000.0 * onehot, "cat_t": onehot})
+        acts = forward(g, ParamStore({}), {"logits": 1000.0 * onehot, "cat_t": onehot})
         assert float(acts[mi.cat]) == math.log(10)
 
     def test_uniform_posterior_scores_zero(self):
         g, mi, _ = build_mi_graph(batch=4)
         onehot = np.zeros((4, 10))
         onehot[:, 3] = 1.0
-        acts = forward(g, ParamStore(), {"logits": np.zeros((4, 10)), "cat_t": onehot})
+        acts = forward(g, ParamStore({}), {"logits": np.zeros((4, 10)), "cat_t": onehot})
         assert float(acts[mi.cat]) == 0.0
 
     def test_matches_per_row_enumeration(self):
@@ -146,7 +149,7 @@ class TestMiLowerBound:
         onehot[np.arange(batch), idx] = 1.0
         means = rng.normal(size=(batch, n_cont))
         targets = rng.uniform(-1.0, 1.0, size=(batch, n_cont))
-        acts = forward(g, ParamStore(), {"logits": logits, "cat_t": onehot,
+        acts = forward(g, ParamStore({}), {"logits": logits, "cat_t": onehot,
                                          "means": means, "cont_t": targets})
         # brute-force per-row expectation with plain python floats
         cat_sum = 0.0
@@ -172,7 +175,7 @@ class TestMiLowerBound:
             logits = rng.normal(0.0, 3.0, size=(32, 10))
             onehot = np.zeros((32, 10))
             onehot[np.arange(32), rng.integers(0, 10, 32)] = 1.0
-            acts = forward(g, ParamStore(), {"logits": logits, "cat_t": onehot})
+            acts = forward(g, ParamStore({}), {"logits": logits, "cat_t": onehot})
             assert float(acts[mi.cat]) <= math.log(10) + 1e-12
 
     def test_invariant_to_row_permutation(self):
@@ -181,20 +184,17 @@ class TestMiLowerBound:
         logits = rng.normal(size=(16, 10))
         onehot = np.zeros((16, 10))
         onehot[np.arange(16), rng.integers(0, 10, 16)] = 1.0
-        a = forward(g, ParamStore(), {"logits": logits, "cat_t": onehot})[mi.total]
+        a = forward(g, ParamStore({}), {"logits": logits, "cat_t": onehot})[mi.total]
         perm = rng.permutation(16)
-        b = forward(g, ParamStore(), {"logits": logits[perm], "cat_t": onehot[perm]})[mi.total]
+        b = forward(g, ParamStore({}), {"logits": logits[perm], "cat_t": onehot[perm]})[mi.total]
         assert float(a) == pytest.approx(float(b), abs=1e-12)
 
     def test_gradients_pass_finite_difference_check(self):
         rng = np.random.default_rng(8)
         spec = LatentSpec(z_dim=2, categorical=(5,), continuous=((-1.0, 1.0),))
         g = Graph()
-        store = ParamStore()
-        store.add("w", rng.normal(0.0, 0.5, size=(3, 5)))
-        store.add("b", np.zeros(5))
-        store.add("wm", rng.normal(0.0, 0.5, size=(3, 1)))
-        store.add("bm", np.zeros(1))
+        store = ParamStore({"w": rng.normal(0.0, 0.5, size=(3, 5)), "b": np.zeros(5),
+                            "wm": rng.normal(0.0, 0.5, size=(3, 1)), "bm": np.zeros(1)})
         x = g.input("x", (6, 3))
         logits = g.affine(x, g.param("w", (3, 5)), g.param("b", (5,)))
         means = g.affine(x, g.param("wm", (3, 1)), g.param("bm", (1,)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from imdp.autodiff import _softmax_rows as softmax
 from imdp.cli import EXIT_VALIDATION, main
 from imdp.latent import Codes, LatentSpec, sample_codes
-from imdp.nets import (CheckpointError, CriticQNet, GeneratorNet, NetConfig,
+from imdp.nets import (CheckpointError, GeneratorNet, NetConfig,
                        build_critic, build_generator, critic_score, generate,
                        load_checkpoint, param_shapes, q_posterior, save_checkpoint)
 from imdp.privacy import INF, PrivacySpec
@@ -100,8 +100,7 @@ class TestGenerate:
 class TestCriticScore:
     def test_zero_weights_score_equals_bias(self):
         cfg = small_cfg(1)
-        critic = CriticQNet(cfg)
-        critic.init_params(np.random.default_rng(0))
+        critic = build_critic(cfg)
         for name in critic.store.params:
             critic.store.params[name][...] = 0.0
         critic.store.params["dis.score.b"][...] = 0.25
@@ -288,7 +287,10 @@ class TestCheckpointTypedErrors:
         lambda b: b.replace(b"latent.z_dim=4", b"latent.z_dim=\xff"),
         lambda b: b + b"latent.junk\n",
         lambda b: b + b"privacy.whatever=3\n",
-    ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8", "no-equals", "unknown-key"])
+        lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=-inf:inf"),
+        lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=0.0:inf"),
+    ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8", "no-equals", "unknown-key",
+            "continuous-unbounded", "continuous-infinite-width"])
     def test_malformed_spec_block_is_a_checkpoint_error(self, tmp_path, edit):
         path = self.saved(tmp_path)
         path.write_bytes(with_spec_block(path.read_bytes(), edit))

@@ -69,22 +69,15 @@ class TestPrivacySpec:
                         sigma=2 * spec.sigma)
 
 
-def store_with(values):
-    store = ParamStore()
-    for name, arr in values.items():
-        store.add(name, arr)
-    return store
-
-
 class TestClipWeights:
     def test_entries_projected(self):
-        store = store_with({"w": np.array([0.02, -0.5, 0.005])})
+        store = ParamStore({"w": np.array([0.02, -0.5, 0.005])})
         clip_weights(store, 0.01)
         np.testing.assert_array_equal(store.params["w"], [0.01, -0.01, 0.005])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        store = store_with({"w": rng.normal(size=50)})
+        store = ParamStore({"w": rng.normal(size=50)})
         clip_weights(store, 0.01)
         once = store.params["w"].copy()
         clip_weights(store, 0.01)
@@ -93,34 +86,34 @@ class TestClipWeights:
     def test_composition_equals_smaller_clip(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=50)
-        a = store_with({"w": vals.copy()})
+        a = ParamStore({"w": vals.copy()})
         clip_weights(a, 0.05)
         clip_weights(a, 0.01)
-        b = store_with({"w": vals.copy()})
+        b = ParamStore({"w": vals.copy()})
         clip_weights(b, 0.01)
         np.testing.assert_array_equal(a.params["w"], b.params["w"])
 
     def test_restricted_names(self):
-        store = store_with({"keep": np.array([5.0]), "clip": np.array([5.0])})
+        store = ParamStore({"keep": np.array([5.0]), "clip": np.array([5.0])})
         clip_weights(store, 0.01, names=["clip"])
         assert store.params["keep"][0] == 5.0
         assert store.params["clip"][0] == 0.01
 
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ValueError):
-            clip_weights(store_with({"w": np.zeros(1)}), 0.0)
+            clip_weights(ParamStore({"w": np.zeros(1)}), 0.0)
 
 
 class TestPerturbGradient:
     def test_sigma_zero_is_bit_exact_noop(self):
-        store = store_with({"w": np.zeros(100)})
+        store = ParamStore({"w": np.zeros(100)})
         store.grads["w"][...] = np.random.default_rng(0).normal(size=100)
         before = store.grads["w"].tobytes()
         perturb_gradient(store, 0.0, 0.01, np.random.default_rng(1))
         assert store.grads["w"].tobytes() == before
 
     def test_noise_statistics(self):
-        store = store_with({"w": np.zeros(100000)})
+        store = ParamStore({"w": np.zeros(100000)})
         perturb_gradient(store, 1.0, 0.01, np.random.default_rng(7))
         draws = store.grads["w"]
         se = 0.01 / math.sqrt(draws.size)
@@ -128,15 +121,15 @@ class TestPerturbGradient:
         assert 0.0095 < draws.std() < 0.0105
 
     def test_fixed_seed_reproducible(self):
-        a = store_with({"w": np.zeros(64)})
-        b = store_with({"w": np.zeros(64)})
+        a = ParamStore({"w": np.zeros(64)})
+        b = ParamStore({"w": np.zeros(64)})
         perturb_gradient(a, 1.5, 0.01, np.random.default_rng(42))
         perturb_gradient(b, 1.5, 0.01, np.random.default_rng(42))
         assert a.grads["w"].tobytes() == b.grads["w"].tobytes()
 
     def test_runwise_draws_equal_per_tensor_draws(self):
-        a = store_with({"w": np.zeros((3, 4)), "b": np.zeros(4)})
-        b = store_with({"v": np.zeros((5, 2))})
+        a = ParamStore({"w": np.zeros((3, 4)), "b": np.zeros(4)})
+        b = ParamStore({"v": np.zeros((5, 2))})
         u = ParamStore.union(a, b)
         rng = np.random.default_rng(3)
         for slot in u.grads.values():
@@ -153,7 +146,7 @@ class TestPerturbGradient:
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
-            perturb_gradient(store_with({"w": np.zeros(1)}), -1.0, 0.01,
+            perturb_gradient(ParamStore({"w": np.zeros(1)}), -1.0, 0.01,
                              np.random.default_rng(0))
 
 

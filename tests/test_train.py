@@ -7,7 +7,7 @@ import pytest
 
 from imdp import privacy
 from imdp import train as train_module
-from imdp.autodiff import Graph, ParamStore, backward, forward
+from imdp.autodiff import Graph, NonFiniteError, ParamStore, backward, forward
 from imdp.data import Dataset, batch_iter, synth_mixture
 from imdp.latent import LatentSpec, sample_codes
 from imdp.nets import build_critic, build_generator, generate, NetConfig
@@ -38,7 +38,7 @@ class TestCriticLoss:
         r = g.input("r", real.shape)
         f = g.input("f", fake.shape)
         loss = critic_loss(g, r, f)
-        acts = forward(g, ParamStore(), {"r": real, "f": fake})
+        acts = forward(g, ParamStore({}), {"r": real, "f": fake})
         return float(acts[loss])
 
     def test_identical_scores_give_zero(self):
@@ -80,7 +80,7 @@ class TestGeneratorLoss:
                   "logits": rng.normal(size=(batch, 4)), "cat_t": onehot,
                   "means": rng.normal(size=(batch, 1)),
                   "cont_t": rng.uniform(-1, 1, size=(batch, 1))}
-        acts = forward(g, ParamStore(), inputs)
+        acts = forward(g, ParamStore({}), inputs)
         return acts, loss, mi, inputs
 
     def test_zero_weights_reduce_to_adversarial_term(self):
@@ -359,6 +359,11 @@ class TestTrain:
         cfg = small_config(n_g=3, batch=512)  # batch exceeds dataset rows
         with pytest.raises(ValueError):
             train(cfg, data)
+        # a 1e300 generator step leaves weights whose next forward overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as exc:
+            train(small_config(n_g=3, lr_gen=1e300), data)
+        assert str(exc.value) == "training failed at generator iteration 2"
+        assert isinstance(exc.value.__cause__, NonFiniteError)
 
     def test_full_reduction_matches_reference_trainer(self):
         """With sigma=0 the private trainer is byte-equal to a plain
@@ -457,26 +462,21 @@ class TestMetricsLog:
 
 class TestRMSProp:
     def test_moves_against_gradient(self):
-        store = ParamStore()
-        store.add("w", np.array([1.0]))
+        store = ParamStore({"w": np.array([1.0])})
         opt = RMSProp(lr=0.1)
         store.grads["w"][...] = 1.0
         opt.update(store, ["w"])
         assert store.params["w"][0] < 1.0
 
     def test_state_split_differently_rejected(self):
-        store = ParamStore()
-        store.add("v", np.array([1.0]))
-        store.add("w", np.array([1.0]))
-        store = ParamStore.union(store)
+        store = ParamStore({"v": np.array([1.0]), "w": np.array([1.0])})
         opt = RMSProp(lr=0.1)
         opt.update(store, ["v"])
         with pytest.raises(ValueError):
             opt.update(store, ["v", "w"])
 
     def test_zero_gradient_is_noop(self):
-        store = ParamStore()
-        store.add("w", np.array([1.0]))
+        store = ParamStore({"w": np.array([1.0])})
         store.grads["w"][...] = 0.0
         RMSProp(lr=0.1).update(store, ["w"])
         assert store.params["w"][0] == 1.0
