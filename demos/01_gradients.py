@@ -34,7 +34,7 @@ cont_t = g.input("cont", (batch, 1))
 mi = mi_lower_bound(g, spec, cat_nodes, [cat_t], cont_node, cont_t)
 loss = generator_loss(g, score, mi, lambda_cat=1.0, lambda_cont=0.1)
 
-store = ParamStore.union(gen.store, critic.store)
+store = ParamStore({**gen.store.params, **critic.store.params})
 codes = sample_codes(spec, batch, np.random.default_rng(1))
 inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0], "cont": codes.cont}
 

@@ -75,16 +75,15 @@ class ParamStore:
     run forward, such as a net loaded to evaluate or generate, holds its
     parameters alone.
 
-    Parameter arrays are mutated in place by optimizers and clipping,
-    never replaced, so several views (e.g. a merged store used by a
-    composite graph) observe a single storage location per name.
+    A store's buffers are fixed at construction: parameter arrays are
+    mutated in place by optimizers and clipping, never replaced, and
+    nets that share a store (the generator and critic of a trained or
+    loaded pair) share one storage location per name.
 
-    ``union`` concatenates its members' buffers, in member order, and
-    rebinds each member to its stretch of the result.  ``runs(names)``
-    then yields the fewest 1-D runs covering ``names``: names laid out
-    side by side share one run, so an elementwise pass (an optimizer,
-    clipping, noise) makes one numpy call per run instead of one per
-    tensor, with the same arithmetic on every entry.
+    ``runs(names)`` yields the fewest 1-D runs covering ``names``: names
+    laid out side by side share one run, so an elementwise pass (an
+    optimizer, clipping, noise) makes one numpy call per run instead of
+    one per tensor, with the same arithmetic on every entry.
     """
 
     def __init__(self, params: Mapping[str, object]):
@@ -96,16 +95,13 @@ class ParamStore:
         for name, arr in arrays.items():
             self._spans[name] = (pos, pos + arr.size, arr.shape)
             pos += arr.size
-        self._bind(np.empty(pos), None)
+        self._flat = np.empty(pos)
+        self._flat_grads: np.ndarray | None = None
+        self.params: dict[str, np.ndarray] = self._views(self._flat)
+        self._grads: dict[str, np.ndarray] | None = None
+        self._runs: dict[tuple[str, ...], list[Run]] = {}
         for name, arr in arrays.items():
             self.params[name][...] = arr
-
-    def _bind(self, flat: np.ndarray, flat_grads: np.ndarray | None) -> None:
-        """Point every name at its stretch of these buffers."""
-        self._flat, self._flat_grads = flat, flat_grads
-        self.params: dict[str, np.ndarray] = self._views(flat)
-        self._grads = None if flat_grads is None else self._views(flat_grads)
-        self._runs: dict[tuple[str, ...], list[Run]] = {}
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         return {name: flat[start:stop].reshape(shape)
@@ -145,34 +141,6 @@ class ParamStore:
                 groups.append([[name], start, stop])
         return [Run(tuple(group), self._flat[start:stop], self._flat_grads[start:stop])
                 for group, start, stop in groups]
-
-    @classmethod
-    def union(cls, *stores: "ParamStore") -> "ParamStore":
-        """A store over one parameter buffer and one gradient buffer that
-        the member stores are rebound to (views, not copies).
-
-        Values and slot contents move into the buffers unchanged.  A store
-        that held a member's old arrays, such as an earlier union, no
-        longer shares them."""
-        seen: set[str] = set()
-        for store in stores:
-            for name in store.params:
-                if name in seen:
-                    raise ValueError(f"parameter name collision: {name!r}")
-                seen.add(name)
-        merged = cls({name: arr for store in stores for name, arr in store.params.items()})
-        flat, flat_grads = merged._flat, np.zeros_like(merged._flat)
-        merged._flat_grads, merged._grads = flat_grads, {}
-        pos = 0
-        for store in stores:
-            stop = pos + store._flat.size
-            if store._grads is not None:
-                flat_grads[pos:stop] = store._flat_grads
-            store._bind(flat[pos:stop], flat_grads[pos:stop])
-            merged.params.update(store.params)  # one view object per name
-            merged._grads.update(store._grads)
-            pos = stop
-        return merged
 
 
 @dataclass(frozen=True)
@@ -354,15 +322,18 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def forward(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray]) -> list[np.ndarray]:
     """Evaluate every node; returns activations indexed by node id.
 
-    Pure: identical bindings produce bit-identical activations.
+    Pure: identical bindings produce bit-identical activations.  numpy's
+    overflow and invalid-value warnings are silenced during the passes:
+    a non-finite value is reported once, as ``NonFiniteError``.
     """
     unknown = set(inputs) - graph._input_names
     if unknown:
         raise GraphError(f"unknown inputs: {sorted(unknown)}")
-    try:
-        return _evaluate(graph, store, inputs, graph._checked())
-    except NonFiniteError:
-        return _evaluate(graph, store, inputs, [True] * len(graph.nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _evaluate(graph, store, inputs, graph._checked())
+        except NonFiniteError:
+            return _evaluate(graph, store, inputs, [True] * len(graph.nodes))
 
 
 def _evaluate(graph: Graph, store: ParamStore, inputs: dict[str, np.ndarray],

@@ -6,6 +6,12 @@ parameter arrays have a single storage location, so an update made
 through either head is observed by the other.  Architectures are plain
 affine stacks sized to train in minutes on a desk machine.
 
+The builders give each net a store of its own.  A trained pair
+(``train.build_trainer``) and a loaded one (``load_checkpoint``) share
+one ``ParamStore``, so each net reads its names out of it:
+``param_names`` is ``gen.*`` for the generator and ``dis.*``/``q.*``
+for the critic.
+
 A checkpoint holds the named float64 parameter tensors, then a spec
 block: the latent and privacy specs as ``latent.*``/``privacy.*``
 key=value lines.  This module alone writes and reads that block, and it
@@ -84,7 +90,7 @@ def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
 class GeneratorNet:
     """Noise-plus-codes to data space; output bounded in [-1, 1] by tanh."""
 
-    store: ParamStore  # set by the builder or by load_checkpoint
+    store: ParamStore  # set by the builder, build_trainer or load_checkpoint
 
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
@@ -148,7 +154,7 @@ class QPosterior:
 class CriticQNet:
     """Scalar critic and code-recovery head on one shared trunk."""
 
-    store: ParamStore  # set by the builder or by load_checkpoint
+    store: ParamStore  # set by the builder, build_trainer or load_checkpoint
 
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
@@ -173,9 +179,11 @@ class CriticQNet:
         """Trunk plus score head: everything updated on real data."""
         return self.store.names_with_prefix("dis.")
 
+    def param_names(self) -> list[str]:
+        return self.store.names_with_prefix("dis.", "q.")
+
     def trunk_names(self) -> list[str]:
-        return [n for n in self.store.params
-                if n.startswith("dis.h")]
+        return self.store.names_with_prefix("dis.h")
 
     def q_head_names(self) -> list[str]:
         return self.store.names_with_prefix("q.")
@@ -274,14 +282,12 @@ def _parse_spec_block(blob: memoryview) -> tuple[LatentSpec, PrivacySpec]:
 
 def save_checkpoint(path, gen: GeneratorNet, critic: CriticQNet,
                     privacy: PrivacySpec) -> None:
-    """Write both nets plus the latent/privacy spec echo; bit-exact payload."""
-    params = dict(sorted(gen.store.params.items()))
-    for name, arr in sorted(critic.store.params.items()):
-        if name in params:
-            raise CheckpointError(f"parameter name collision: {name!r}")
-        params[name] = arr
-    out = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(params))]
-    for name, arr in params.items():
+    """Write both nets plus the latent/privacy spec echo; bit-exact payload.
+    Tensors go generator first, each net's names sorted."""
+    tensors = [(name, gen.store.params[name]) for name in sorted(gen.param_names())]
+    tensors += [(name, critic.store.params[name]) for name in sorted(critic.param_names())]
+    out = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(tensors))]
+    for name, arr in tensors:
         nameb = name.encode("utf-8")
         out.append(struct.pack("<H", len(nameb)))
         out.append(nameb)
@@ -345,6 +351,8 @@ def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
     for _ in range(count):
         (nlen,) = r.unpack("<H")
         name = str(r.take(nlen), "utf-8")
+        if name in params:
+            raise CheckpointError(f"repeated tensor name {name!r}")
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         size = math.prod(shape)
@@ -372,7 +380,6 @@ def _parse_checkpoint(blob: bytes) -> CheckpointBundle:
     for name in sorted(params):
         if params[name].shape != want[name]:
             raise CheckpointError(f"parameter {name!r} has unexpected shape")
-    # the stores copy the tensors out of the file's bytes
-    gen.store = ParamStore({n: params[n] for n in sorted(params) if n.startswith("gen.")})
-    critic.store = ParamStore({n: params[n] for n in sorted(params) if not n.startswith("gen.")})
+    # one store for the pair, copying the tensors out of the file's bytes
+    gen.store = critic.store = ParamStore(params)
     return CheckpointBundle(gen=gen, critic=critic, latent=latent, privacy=privacy)

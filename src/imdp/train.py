@@ -9,10 +9,11 @@ the recovery head, and the shared trunk through the code-recovery
 objective only, so no real-data gradient bypasses the noised path.
 
 The step is laid out to make few, large numpy calls with the same
-float64 arithmetic.  The nets' parameters share one buffer (see
-``ParamStore.union``), so RMSProp, noise, clipping and the sqrt(m)
-scaling each make one call per run: one run for the critic path, two
-for the generator step.  The generator's weights do not move during the
+float64 arithmetic.  The two nets are built into one ``ParamStore``,
+generator first, then critic, so their parameters share one buffer and
+RMSProp, noise, clipping and the sqrt(m) scaling each make one call per
+run (see ``ParamStore.runs``): one run for the critic path, two for the
+generator step.  The generator's weights do not move during the
 n_d critic steps, so ``critic_round`` draws all n_d code batches first,
 in the order the steps would, and runs one generator forward over them.
 """
@@ -318,7 +319,7 @@ def build_trainer(config: TrainConfig, data: Dataset) -> Trainer:
                        trunk_hidden=config.trunk_hidden, seed=seeds["nets"])
     gen = build_generator(netcfg)
     critic = build_critic(netcfg)
-    store = ParamStore.union(gen.store, critic.store)
+    store = gen.store = critic.store = ParamStore({**gen.store.params, **critic.store.params})
     spec = config.resolve_privacy(data.n)
     return Trainer(
         config=config, gen=gen, critic=critic, spec=spec, store=store,

@@ -93,7 +93,7 @@ def _random_graph(index: int):
         for net in (gen, critic):
             for arr in net.store.params.values():
                 arr[...] = rng.normal(0.0, 0.5, size=arr.shape)
-        store = ParamStore.union(gen.store, critic.store)
+        store = ParamStore({**gen.store.params, **critic.store.params})
         gen_in = g.input("gen_in", (batch, gen.input_width))
         fake = gen.append_to_graph(g, gen_in)
         trunk = critic.append_trunk(g, fake)

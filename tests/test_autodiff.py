@@ -506,17 +506,6 @@ class TestParamStore:
         for name in store.params:
             assert store.grads[name].shape == store.params[name].shape
 
-    def test_union_shares_storage(self):
-        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"y": np.ones(2)})
-        u = ParamStore.union(a, b)
-        u.params["x"][0] = 7.0
-        assert a.params["x"][0] == 7.0
-
-    def test_union_shares_gradient_slots(self):
-        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"y": np.ones(3)})
-        u = ParamStore.union(a, b)
-        assert u.grads["x"] is a.grads["x"] and u.grads["y"] is b.grads["y"]
-
     def test_backward_fills_slots_never_read(self):
         x = np.random.default_rng(4).normal(size=(4, 3))
         g, lazy, _, out = affine_net([3, 5, 2], seed=3)
@@ -530,34 +519,11 @@ class TestParamStore:
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
-    def test_union_lays_members_out_in_one_buffer(self):
-        a = ParamStore({"x": np.arange(6.0).reshape(2, 3)})
-        b = ParamStore({"y": np.ones(4)})
-        b.grads["y"][...] = 2.0
-        u = ParamStore.union(a, b)
-        (run,) = u.runs()
-        assert run.names == ("x", "y") and run.params.size == run.grads.size == 10
-        for store in (a, b, u):
-            for name in store.params:
-                assert np.shares_memory(store.params[name], run.params), name
-                assert np.shares_memory(store.grads[name], run.grads), name
-        assert a.params["x"].tobytes() == np.arange(6.0).reshape(2, 3).tobytes()
-        assert (b.grads["y"] == 2.0).all() and not a.grads["x"].any()
-        run.params[-1] = 5.0
-        run.grads[0] = 3.0
-        assert b.params["y"][-1] == 5.0 and a.grads["x"][0, 0] == 3.0
-
     def test_runs_merge_only_neighbours_in_a_buffer(self):
-        a = ParamStore({name: np.zeros(2) for name in ("p", "q", "r")})
-        u = ParamStore.union(a)
-        assert [run.names for run in u.runs(["p", "r"])] == [("p",), ("r",)]
-        assert [run.names for run in u.runs(["q", "r", "p"])] == [("q", "r"), ("p",)]
-        assert [run.names for run in a.runs()] == [("p", "q", "r")]
-
-    def test_union_rejects_collisions(self):
-        a, b = ParamStore({"x": np.zeros(2)}), ParamStore({"x": np.ones(2)})
-        with pytest.raises(ValueError):
-            ParamStore.union(a, b)
+        store = ParamStore({name: np.zeros(2) for name in ("p", "q", "r")})
+        assert [run.names for run in store.runs(["p", "r"])] == [("p",), ("r",)]
+        assert [run.names for run in store.runs(["q", "r", "p"])] == [("q", "r"), ("p",)]
+        assert [run.names for run in store.runs()] == [("p", "q", "r")]
 
     def test_as_tensor_rejects_inf(self):
         with pytest.raises(NonFiniteError):

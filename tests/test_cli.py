@@ -16,7 +16,8 @@ from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDA
                       build_parser, load_dataset, main, parse_config)
 from imdp.data import MIXTURE_MAX_N, DataFormatError
 from imdp.latent import LatentSpec
-from imdp.privacy import INF, calibrate_sigma
+from imdp.nets import NetConfig, build_critic, build_generator, save_checkpoint
+from imdp.privacy import INF, PrivacySpec, calibrate_sigma
 from imdp.train import TrainConfig
 
 INF_SPELLINGS = ["inf", "INF", "Infinity"]
@@ -502,6 +503,22 @@ class TestCmdGenerate:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"imdp: error: validation: {message}\n"
         assert not (tmp_path / "sweep").exists()
+
+    def test_overflowing_generator_prints_only_the_error_line(self, tmp_path):
+        cfg = NetConfig(latent=LatentSpec(z_dim=4, categorical=(3,), continuous=((-1.0, 1.0),)),
+                        data_dim=5, gen_hidden=(8, 8), trunk_hidden=(8, 8))
+        gen = build_generator(cfg)
+        for arr in gen.store.params.values():
+            arr *= 1e200
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, gen, build_critic(cfg),
+                        PrivacySpec.calibrated(INF, 1e-5, 0.01, 0.5, 5))
+        # a fresh process: numpy's warnings reach stderr as a user sees them
+        run = subprocess.run([sys.executable, "-m", "imdp", "generate", "--checkpoint",
+                              str(ckpt), "--out", str(tmp_path / "sweep")],
+                             capture_output=True, text=True)
+        assert run.returncode == EXIT_RUNTIME
+        assert run.stderr == "imdp: error: runtime: node 7 (affine): non-finite value\n"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
     def test_repeated_generate_does_not_fault_in_fresh_pages(self, tmp_path):

@@ -310,6 +310,17 @@ class TestCheckpointTypedErrors:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_repeated_tensor_name_is_a_checkpoint_error(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        magic, version, count = struct.unpack_from("<4sII", blob)
+        end = blob.index(b"latent.z_dim=") - 4  # the tensors end at the spec block's length
+        again = struct.pack("<H", 9) + b"gen.out.b" + struct.pack("<BI", 1, 5) + bytes(8 * 5)
+        path.write_bytes(struct.pack("<4sII", magic, version, count + 1) + blob[12:end]
+                         + again + blob[end:])
+        with pytest.raises(CheckpointError, match="repeated tensor name 'gen.out.b'"):
+            load_checkpoint(path)
+
     def test_non_utf8_parameter_name_is_a_checkpoint_error(self, tmp_path):
         path = self.saved(tmp_path)
         blob = path.read_bytes()

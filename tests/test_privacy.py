@@ -128,9 +128,7 @@ class TestPerturbGradient:
         assert a.grads["w"].tobytes() == b.grads["w"].tobytes()
 
     def test_runwise_draws_equal_per_tensor_draws(self):
-        a = ParamStore({"w": np.zeros((3, 4)), "b": np.zeros(4)})
-        b = ParamStore({"v": np.zeros((5, 2))})
-        u = ParamStore.union(a, b)
+        u = ParamStore({"w": np.zeros((3, 4)), "b": np.zeros(4), "v": np.zeros((5, 2))})
         rng = np.random.default_rng(3)
         for slot in u.grads.values():
             slot[...] = rng.normal(size=slot.shape)

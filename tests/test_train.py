@@ -10,7 +10,8 @@ from imdp import train as train_module
 from imdp.autodiff import Graph, NonFiniteError, ParamStore, backward, forward
 from imdp.data import Dataset, batch_iter, synth_mixture
 from imdp.latent import LatentSpec, sample_codes
-from imdp.nets import build_critic, build_generator, generate, NetConfig
+from imdp.nets import (build_critic, build_generator, generate, load_checkpoint, NetConfig,
+                       param_shapes, save_checkpoint)
 from imdp.train import (MetricsLog, MetricsRecord, RMSProp, TrainConfig,
                         build_trainer, critic_loss, derive_seeds,
                         generator_loss, mi_objective, train,
@@ -134,7 +135,7 @@ class TestCriticStep:
                            seed=seeds["nets"])
         gen = build_generator(netcfg)
         critic = build_critic(netcfg)
-        store = ParamStore.union(gen.store, critic.store)
+        store = ParamStore({**gen.store.params, **critic.store.params})
         opt = RMSProp(cfg.lr_critic)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
@@ -250,6 +251,21 @@ def assert_wrt_pass_matches_full(graph, store, acts, loss, wrt):
             assert (slot == 7.0).all(), name
 
 
+class TestSharedStore:
+    def test_trained_and_loaded_pairs_share_one_store(self, tmp_path):
+        tr = build_trainer(small_config(), mixture())
+        assert tr.gen.store is tr.critic.store is tr.store
+        assert len(tr.store.runs()) == 1
+        names = [*param_shapes(tr.gen.layers()), *param_shapes(tr.critic.layers())]
+        assert tr.store.names() == names
+        save_checkpoint(tmp_path / "model.ckpt", tr.gen, tr.critic, tr.spec)
+        bundle = load_checkpoint(tmp_path / "model.ckpt")
+        assert bundle.gen.store is bundle.critic.store
+        assert bundle.gen.store._grads is None
+        for name in names:
+            assert bundle.gen.store.params[name].tobytes() == tr.store.params[name].tobytes()
+
+
 class TestPrunedBackwardOnTrainerGraphs:
     def test_critic_graph(self):
         data = mixture()
@@ -360,7 +376,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cfg, data)
         # a 1e300 generator step leaves weights whose next forward overflows
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as exc:
+        with pytest.raises(RuntimeError) as exc:
             train(small_config(n_g=3, lr_gen=1e300), data)
         assert str(exc.value) == "training failed at generator iteration 2"
         assert isinstance(exc.value.__cause__, NonFiniteError)
@@ -378,7 +394,7 @@ class TestTrain:
                            seed=seeds["nets"])
         gen = build_generator(netcfg)
         critic = build_critic(netcfg)
-        store = ParamStore.union(gen.store, critic.store)
+        store = ParamStore({**gen.store.params, **critic.store.params})
         opt_c, opt_g = RMSProp(cfg.lr_critic), RMSProp(cfg.lr_gen)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
@@ -411,8 +427,7 @@ class TestTrain:
             opt_g.update(store, mi_names)
             privacy.clip_weights(store, cfg.c_p, critic_names)
         for name in store.params:
-            assert result.gen.store.params.get(name, result.critic.store.params.get(name)).tobytes() \
-                == store.params[name].tobytes(), name
+            assert result.gen.store.params[name].tobytes() == store.params[name].tobytes(), name
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
