@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +201,7 @@ def load_dataset(descriptor: str) -> Dataset:
             labels = _read_idx(load_idx_labels, value)
             if labels.shape[0] != ds.n:
                 raise ConfigError("label count does not match image count")
-            ds = Dataset._trusted(ds.x, labels, source=ds.source)
+            ds = Dataset(ds.x, labels, source=ds.source)
         return ds
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
@@ -293,6 +294,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _Checkpoints(Mapping):
+    """Epsilon -> (generator, critic), loaded from its checkpoint on each
+    lookup, so an evaluation holds only the model of the level it runs.
+    A checkpoint trained at another epsilon than its ``--model`` label is
+    a ``ConfigError``."""
+
+    def __init__(self, paths: dict[float, str]):
+        self.paths = paths
+
+    def __getitem__(self, eps: float):
+        bundle = load_checkpoint(self.paths[eps])
+        if bundle.privacy.epsilon != eps:
+            raise ConfigError(f"--model {eps!r}={self.paths[eps]}: the checkpoint was "
+                              f"trained at privacy.epsilon={bundle.privacy.epsilon!r}")
+        return bundle.gen, bundle.critic
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
 def cmd_evaluate(args) -> int:
     per_class = _to_int("per-class", args.per_class, least=1)
     map_samples = _to_int("map-samples", args.map_samples, least=1)
@@ -304,18 +328,17 @@ def cmd_evaluate(args) -> int:
     pair = (_to_int("pair", a), _to_int("pair", b))
     if pair[0] == pair[1]:
         raise ConfigError(f"--pair needs two different labels, got {args.pair}")
-    models = {}
+    paths = {}
     for item in args.model:
         eps_raw, sep, path = item.partition("=")
         if not sep:
             raise ConfigError(f"--model expects EPS=PATH, got {item!r}")
         eps = _to_float("model epsilon", eps_raw)
         check_epsilon(eps)
-        if eps in models:
+        if eps in paths:
             raise ConfigError(f"--model: two models at epsilon {eps!r}")
-        bundle = load_checkpoint(path)
-        models[eps] = (bundle.gen, bundle.critic)
-    if not models:
+        paths[eps] = path
+    if not paths:
         raise ConfigError("at least one --model EPS=PATH is required")
     real = load_dataset(args.dataset)
     if real.y is None:
@@ -323,14 +346,15 @@ def cmd_evaluate(args) -> int:
     rng = np.random.default_rng(seed)
     order = rng.permutation(real.n)
     n_map = min(map_samples, real.n // 2)
-    map_data = Dataset._trusted(real.x[order[:n_map]], real.y[order[:n_map]],
-                                source=f"{real.source}|map")
-    # select the pair's held-out rows on indices, so only they are decoded
+    map_rows = order[:n_map]
+    map_data = Dataset(real.x.take(map_rows, axis=0), real.y[map_rows],
+                       source=f"{real.source}|map")
+    # select the pair's held-out rows on indices; IDX rows stay bytes until read
     held_out = order[n_map:]
     held_out = held_out[pair_rows(real.y[held_out], pair)]
-    test_data = Dataset._trusted(real.x[held_out], real.y[held_out],
-                                 source=f"{real.source}|test")
-    report = utility_privacy_curve(models, pair=pair, real_test=test_data,
+    test_data = Dataset(real.x.take(held_out, axis=0), real.y[held_out],
+                        source=f"{real.source}|test")
+    report = utility_privacy_curve(_Checkpoints(paths), pair=pair, real_test=test_data,
                                    map_data=map_data,
                                    per_class=per_class, epochs=epochs, seed=seed)
     out_dir = args.out or "."

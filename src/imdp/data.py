@@ -18,10 +18,12 @@ an IDX file holds an ``IdxFeatures`` view of the pixels, which has the
 float64 matrix's shape, ndim and dtype and decodes only the rows it is
 indexed with, as ``pixels / 127.5 - 1.0``.  On all 256 byte values that
 is bit-identical to ``pixels.astype(np.float64) / 255.0 * 2.0 - 1.0``
-and finite in [-1, 1], so the view skips ``Dataset``'s finiteness and
-range scans, as do the evaluate command's row selections and label
-attachment of an already validated ``Dataset``.  Memory is the rows a
-caller selects; ``np.asarray`` on the view decodes the whole matrix.
+and finite in [-1, 1], so ``Dataset`` skips its finiteness and range
+scans when ``x`` is an ``IdxFeatures``; a float64 matrix is always
+scanned.  ``x.take(rows, axis=0)`` selects rows as bytes, into another
+``IdxFeatures``, so a split of an IDX dataset (the evaluate command's map
+and held-out rows) holds a byte per feature until it is read.  Memory is
+the rows a caller decodes; ``np.asarray`` on the view decodes them all.
 """
 from __future__ import annotations
 
@@ -65,6 +67,12 @@ class IdxFeatures(np.lib.mixins.NDArrayOperatorsMixin):
         out -= 1.0
         return out
 
+    def take(self, indices, axis=None) -> "IdxFeatures":
+        """The rows at ``indices``, still as bytes, as ``ndarray.take`` on axis 0."""
+        if axis != 0:
+            raise ValueError("IdxFeatures.take selects rows: axis must be 0")
+        return IdxFeatures(self.pixels.take(indices, axis=0))
+
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("IDX features are decoded on read; a copy cannot be avoided")
@@ -81,32 +89,18 @@ class Dataset:
     source: str = "unknown"
 
     def __post_init__(self):
-        self.x = as_tensor(self.x, where="dataset features")
+        # IDX features are finite and in [-1, 1] by construction; a matrix is scanned
+        scan = not isinstance(self.x, IdxFeatures)
+        if scan:
+            self.x = as_tensor(self.x, where="dataset features")
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=np.int64)
-        self._check_shapes()
-        if self.x.min() < -1.0 or self.x.max() > 1.0:
-            raise ValueError("features must lie in [-1, 1]")
-
-    def _check_shapes(self) -> None:
         if self.x.ndim != 2 or self.x.shape[0] < 1:
             raise ValueError("features must be a non-empty (N, d) matrix")
         if self.y is not None and self.y.shape != (self.x.shape[0],):
             raise ValueError("labels must have one entry per row")
-
-    @classmethod
-    def _trusted(cls, x, y=None, source: str = "unknown") -> "Dataset":
-        """Wrap features that are valid by construction, skipping the scans.
-
-        Only for ``IdxFeatures`` or a float64 C-contiguous (N, d) matrix
-        already finite and in [-1, 1], with int64 labels or None: rows of a
-        validated ``Dataset``.  The O(1) shape checks still run, so an empty
-        row selection is rejected as ``Dataset(...)`` rejects it.
-        """
-        ds = object.__new__(cls)
-        ds.x, ds.y, ds.source = x, y, source
-        ds._check_shapes()
-        return ds
+        if scan and (self.x.min() < -1.0 or self.x.max() > 1.0):
+            raise ValueError("features must lie in [-1, 1]")
 
     @property
     def n(self) -> int:
@@ -142,7 +136,7 @@ def load_idx_images(path) -> Dataset:
         # the array keeps the read-only map alive; it outlives the file object
         pixels = np.frombuffer(mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ),
                                dtype=np.uint8, count=total, offset=16)
-    return Dataset._trusted(IdxFeatures(pixels.reshape(n, rows * cols)), source=f"idx:{path}")
+    return Dataset(IdxFeatures(pixels.reshape(n, rows * cols)), source=f"idx:{path}")
 
 
 def load_idx_labels(path) -> np.ndarray:

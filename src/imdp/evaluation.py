@@ -8,6 +8,7 @@ held-out rows only.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,37 +261,48 @@ def _utility_row(eps: float, gen: GeneratorNet, critic: CriticQNet,
                  pair: tuple[int, int], test: Dataset, map_data: Dataset,
                  per_class: int, epochs: int, seed: int) -> UtilityRow:
     """One privacy level of ``utility_privacy_curve``.  Its generated
-    split and classifier live only in this call, so one level's are freed
-    before the next level generates."""
+    split is freed before the classifier scores the real rows, and the
+    classifier when the call returns, before the next level generates."""
     mapping, tie = map_categories_to_labels(critic, map_data)
     rng = np.random.default_rng(seed)
-    x = np.concatenate([_generate_labeled(gen, gen.cfg.latent, mapping[lbl], per_class, rng)
-                        for lbl in pair])
-    train_ds = Dataset(x=x, y=np.repeat(pair, per_class), source=f"generated:eps={eps}")
+    source = f"generated:eps={eps}"
+    train_ds = Dataset(x=np.concatenate([_generate_labeled(gen, gen.cfg.latent, mapping[lbl],
+                                                           per_class, rng) for lbl in pair]),
+                       y=np.repeat(pair, per_class), source=source)
     clf = train_binary_classifier(train_ds, epochs=epochs, seed=seed)
-    return UtilityRow(epsilon=eps, train_source=train_ds.source,
-                      accuracy=clf.accuracy(test), n_train=train_ds.n, n_test=test.n,
-                      mapping_tie=tie)
+    n_train = train_ds.n
+    del train_ds
+    return UtilityRow(epsilon=eps, train_source=source, accuracy=clf.accuracy(test),
+                      n_train=n_train, n_test=test.n, mapping_tie=tie)
 
 
-def utility_privacy_curve(models: dict[float, tuple[GeneratorNet, CriticQNet]],
+def utility_privacy_curve(models: Mapping[float, tuple[GeneratorNet, CriticQNet]],
                           pair: tuple[int, int], real_test: Dataset,
                           map_data: Dataset, per_class: int = 2000,
                           epochs: int = 100, seed: int = 0) -> UtilityReport:
     """Per privacy level: identify the label categories, generate a
     training split, fit a binary classifier, and score it on real rows.
 
-    Every level reuses the same seed so identical models earn identical
+    ``models[eps]`` is read once, when its level runs, so a mapping that
+    loads on lookup holds one level's model at a time.  The test split
+    must hold rows of the pair and the map split rows of both its labels;
+    both are checked before any level runs.  Every
+    level reuses the same seed so identical models earn identical
     accuracies; rows come back sorted by descending privacy level.
     """
     a, b = int(pair[0]), int(pair[1])
     if real_test.y is None:
         raise ValueError("real test data needs labels")
+    if map_data.y is None:
+        raise ValueError("mapping data needs labels")
     x, y = real_test.x, real_test.y
     keep = pair_rows(y, (a, b))
+    for label in (a, b):
+        if not np.any(map_data.y == label):
+            raise ValueError(f"map split holds no rows labeled {label}")
     if keep.size < real_test.n:
-        x, y = x[keep], y[keep]
-    test = Dataset._trusted(x, y, source=f"{real_test.source}|pair={a}-{b}")
+        x, y = x.take(keep, axis=0), y[keep]
+    test = Dataset(x, y, source=f"{real_test.source}|pair={a}-{b}")
     rows = [_utility_row(eps, *models[eps], (a, b), test, map_data, per_class, epochs, seed)
             for eps in sorted(models, reverse=True)]
     return UtilityReport(rows=rows, test_split_sha256=dataset_sha256(test))

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdp import cli
 from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                       build_parser, load_dataset, main, parse_config)
-from imdp.data import MIXTURE_MAX_N, DataFormatError
+from imdp.data import MIXTURE_MAX_N, DataFormatError, Dataset, IdxFeatures
 from imdp.latent import LatentSpec
 from imdp.nets import NetConfig, build_critic, build_generator, save_checkpoint
 from imdp.privacy import INF, PrivacySpec, calibrate_sigma
@@ -440,6 +441,113 @@ class TestEvaluateDecodesOnlyThePair:
             "imdp: error: validation: test split holds no rows labeled 7 or 8\n")
 
 
+def _save_model(path, eps, data_dim, hidden=(128, 128), seed=0,
+                latent=LatentSpec(z_dim=62, categorical=(10,), continuous=((-1.0, 1.0),))):
+    """A freshly initialized pair saved at privacy level ``eps``; the
+    defaults are the CLI's default nets."""
+    cfg = NetConfig(latent=latent, data_dim=data_dim, gen_hidden=hidden,
+                    trunk_hidden=hidden, seed=seed)
+    save_checkpoint(path, build_generator(cfg), build_critic(cfg),
+                    PrivacySpec.calibrated(eps, 1e-5, 0.01, 0.1, 5))
+    return str(path)
+
+
+class TestEvaluateLoadsPerLevel:
+    """Each checkpoint loads when its level runs and is dropped after it;
+    the splits of an IDX dataset stay bytes until they are read."""
+
+    def test_peak_holds_one_model(self, tmp_path, capsys):
+        n, side = 200, 28
+        images = np.random.default_rng(43).integers(0, 256, size=(n, side, side),
+                                                    dtype=np.uint8)
+        dataset = _write_idx(tmp_path, images, np.where(np.arange(n) % 2, 8, 3))
+        models = [f"{eps!r}={_save_model(tmp_path / f'{eps}.ckpt', eps, side * side, seed=i)}"
+                  for i, eps in enumerate((INF, 2.2))]
+        store = os.path.getsize(tmp_path / "inf.ckpt")  # 1.97 MB of tensors, ~100 B of specs
+
+        def peak(models):
+            argv = ["evaluate", *[f"--model={m}" for m in models], "--pair", "3,8",
+                    "--dataset", dataset, "--per-class", "8", "--map-samples", "40",
+                    "--epochs", "1", "--out", str(tmp_path / "eval")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(models[:1]), peak(models)
+        # a level peaks while its checkpoint loads: the file's bytes and the
+        # store they are copied into, beside the byte splits; scoring 160
+        # decoded rows with the 64-unit classifier takes less.  Holding the
+        # first model while the second loads would add a third store.
+        assert one < 2 * store + 1_000_000
+        assert two < one + store // 4
+
+    @pytest.mark.parametrize("bad, code, message", [
+        ("missing", EXIT_RUNTIME, "runtime: [Errno 2] No such file or directory: '{path}'"),
+        ("corrupt", EXIT_VALIDATION, "validation: bad magic b'JUNK'"),
+    ])
+    def test_a_bad_later_checkpoint_fails_after_the_earlier_levels(
+            self, tmp_path, capsys, trained_checkpoint, bad, code, message):
+        path = tmp_path / "second.ckpt"
+        if bad == "corrupt":
+            path.write_bytes(b"JUNK" + bytes(8))
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", f"inf={trained_checkpoint}",
+                     "--model", f"2.2={path}", "--pair", "0,1",
+                     "--dataset", "mixture:k=4,n=200,std=0.1,seed=2",
+                     "--per-class", "8", "--epochs", "1", "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"imdp: error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    def test_splits_stay_bytes_and_report_as_decoded(self, tmp_path, capsys, monkeypatch):
+        images = np.random.default_rng(44).integers(0, 256, size=(120, 4, 4), dtype=np.uint8)
+        labels = np.random.default_rng(45).integers(0, 4, size=120)
+        dataset = _write_idx(tmp_path, images, labels)
+        cfg = fast_config_file(tmp_path, **{"train.ng": "1", "train.dataset": dataset})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_OK
+        ckpt = next((tmp_path / "runs").iterdir()) / "checkpoint.ckpt"
+        seen = []
+        curve = cli.utility_privacy_curve
+
+        def decoded_curve(models, *, real_test, map_data, **kw):
+            seen.append((real_test.x, map_data.x))
+            return curve(models, real_test=decoded(real_test), map_data=decoded(map_data), **kw)
+
+        def decoded(ds):
+            return Dataset(np.asarray(ds.x), ds.y, source=ds.source)
+
+        def run(out):
+            assert main(["evaluate", "--model", f"inf={ckpt}", "--pair", "1,2",
+                         "--dataset", dataset, "--per-class", "8", "--map-samples", "30",
+                         "--epochs", "2", "--seed", "6", "--out", str(out)]) == EXIT_OK
+            return [(out / name).read_bytes() for name in ("utility.csv", "utility-manifest.txt")]
+
+        as_bytes = run(tmp_path / "bytes")
+        monkeypatch.setattr(cli, "utility_privacy_curve", decoded_curve)
+        assert run(tmp_path / "decoded") == as_bytes
+        [(test_x, map_x)] = seen
+        assert isinstance(test_x, IdxFeatures) and isinstance(map_x, IdxFeatures)
+        assert map_x.shape == (30, 16)
+
+
+class TestEvaluateChecksTheMapSplit:
+    @pytest.mark.parametrize("pair", ["1,9", "9,1"])
+    def test_pair_label_absent_from_the_map_split_rejected_before_loading(
+            self, tmp_path, capsys, pair):
+        images = np.random.default_rng(46).integers(0, 256, size=(300, 4, 4), dtype=np.uint8)
+        dataset = _write_idx(tmp_path, images, np.arange(300) % 4)
+        out = tmp_path / "eval"
+        # a checkpoint that does not exist would exit 2 if it were loaded
+        assert main(["evaluate", "--model", f"inf={tmp_path / 'none.ckpt'}", "--pair", pair,
+                     "--dataset", dataset, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "imdp: error: validation: map split holds no rows labeled 9\n")
+        assert not out.exists()
+
+
 class TestParserReuse:
     """One parser serves every ``main`` call of a process; nothing one call
     parses reaches the next."""
@@ -628,6 +736,20 @@ class TestCmdEvaluateRejectsBadFlags:
         self.reject(tmp_path, capsys, trained_checkpoint,
                     ["--model", f"Infinity={trained_checkpoint}"],
                     "--model: two models at epsilon inf")
+
+    @pytest.mark.parametrize("flag_eps, trained_eps", [("1.22", INF), ("inf", 2.2)])
+    def test_model_epsilon_must_match_the_checkpoint(self, tmp_path, capsys,
+                                                     flag_eps, trained_eps):
+        # levels run from the highest epsilon down: the 5.5 level runs
+        # before the mislabeled 1.22 one and after the mislabeled inf one
+        small = dict(data_dim=2, hidden=(8,),
+                     latent=LatentSpec(z_dim=4, categorical=(4,), continuous=((-1.0, 1.0),)))
+        good = _save_model(tmp_path / "good.ckpt", 5.5, **small)
+        path = _save_model(tmp_path / "m.ckpt", trained_eps, **small)
+        self.reject(tmp_path, capsys, None,
+                    ["--model", f"5.5={good}", "--model", f"{flag_eps}={path}"],
+                    f"--model {float(flag_eps)!r}={path}: the checkpoint was trained at "
+                    f"privacy.epsilon={trained_eps!r}")
 
     # a checkpoint that does not exist would exit 2 if it were loaded first
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdp.autodiff import NonFiniteError
 from imdp.data import (MIXTURE_MAX_K, MIXTURE_MAX_N, DataFormatError, Dataset,
                        IdxFeatures, batch_iter, bytes_from_features, load_idx_images,
                        load_idx_labels, synth_mixture)
@@ -168,7 +169,7 @@ class TestIdxDecode:
         want = hashlib.sha256(whole_array_decode(imgs).tobytes())
         want.update(labels.astype(np.int64).tobytes())
         del imgs
-        ds = Dataset._trusted(load_idx_images(path).x, labels.astype(np.int64))
+        ds = Dataset(load_idx_images(path).x, labels.astype(np.int64))
         tracemalloc.start()
         try:
             got = dataset_sha256(ds)
@@ -419,21 +420,49 @@ class TestBatchIter:
 
 
 class TestTrustedDataset:
+    """``Dataset`` trusts ``IdxFeatures`` without a scan; a float64 matrix,
+    a row subset of a validated one included, is always scanned."""
+
     def test_subset_rows_come_from_the_validated_dataset(self):
         ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=17)
         rows = np.random.default_rng(0).permutation(np.flatnonzero(np.isin(ds.y, (0, 2))))[:10]
-        sub = Dataset._trusted(ds.x[rows], ds.y[rows], source=f"{ds.source}|subset")
+        sub = Dataset(ds.x.take(rows, axis=0), ds.y[rows], source=f"{ds.source}|subset")
         assert sub.x.dtype == np.float64 and sub.x.flags.c_contiguous
         assert sub.y.dtype == np.int64
         for row, label in zip(sub.x, sub.y):
             hits = np.flatnonzero((ds.x == row).all(axis=1))
             assert hits.size and (ds.y[hits] == label).all()
 
-    def test_shape_checks_still_run(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Dataset._trusted(np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="one entry per row"):
-            Dataset._trusted(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
+    def test_shape_checks_still_run(self, tmp_path):
+        path = tmp_path / "images.idx"
+        write_idx_images(path, np.zeros((3, 2, 2), dtype=np.uint8))
+        x = load_idx_images(path).x
+        for empty in (np.zeros((0, 2)), x.take([], axis=0)):
+            with pytest.raises(ValueError, match="non-empty"):
+                Dataset(empty)
+        for features in (np.zeros((3, 2)), x):
+            with pytest.raises(ValueError, match="one entry per row"):
+                Dataset(features, np.zeros(2, dtype=np.int64))
+
+    def test_a_nan_float64_row_is_still_rejected(self):
+        x = np.zeros((4, 2))
+        x[2, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="dataset features: non-finite"):
+            Dataset(x)
+
+    def test_idx_rows_taken_stay_bytes(self, tmp_path):
+        imgs = np.random.default_rng(23).integers(0, 256, size=(12, 3, 3), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        write_idx_images(path, imgs)
+        x = load_idx_images(path).x
+        rows = np.array([11, 0, 4, 4])
+        sub = x.take(rows, axis=0)
+        assert isinstance(sub, IdxFeatures) and sub.shape == (4, 9)
+        assert sub.pixels.tobytes() == imgs.reshape(12, 9)[rows].tobytes()
+        assert np.asarray(sub).tobytes() == whole_array_decode(imgs)[rows].tobytes()
+        assert isinstance(Dataset(sub, np.arange(4)).x, IdxFeatures)
+        with pytest.raises(ValueError, match="axis must be 0"):
+            x.take(rows)
 
 
 class TestDatasetValidation:

@@ -195,6 +195,19 @@ class TestUtilityCurve:
                                   real_test=real, map_data=real,
                                   per_class=10, epochs=1, seed=0)
 
+    def test_pair_label_missing_from_the_map_split_rejected_before_any_level(self):
+        real = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=6)
+        keep = real.y != 2
+        map_data = Dataset(real.x[keep], real.y[keep])
+
+        class Unread(dict):
+            def __getitem__(self, eps):
+                raise AssertionError("a level ran")
+
+        with pytest.raises(ValueError, match="^map split holds no rows labeled 2$"):
+            utility_privacy_curve(Unread({1.0: None}), pair=(1, 2), real_test=real,
+                                  map_data=map_data, per_class=10, epochs=1, seed=0)
+
     def test_peak_holds_one_level_at_a_time(self, tmp_path):
         # two levels of the default 784-dim nets, loaded as evaluate loads them
         spec = LatentSpec(z_dim=62, categorical=(10,), continuous=((-1.0, 1.0),))
