@@ -300,15 +300,15 @@ class Graph:
 
 
 def graph_per_batch(build):
-    """Method decorator: ``build(self, batch)`` runs once per instance and
-    batch size; later calls return what it built.  Graphs have concrete
-    batch dimensions, so each batch size needs its own."""
+    """Method decorator: ``build(self, batch)`` runs once per instance,
+    method and batch size; later calls return what it built.  Graphs have
+    concrete batch dimensions, so each batch size needs its own."""
     @functools.wraps(build)
     def cached(self, batch: int):
         graphs = vars(self).setdefault("_graphs", {})
-        built = graphs.get(batch)
+        built = graphs.get((build, batch))
         if built is None:
-            built = graphs[batch] = build(self, batch)
+            built = graphs[build, batch] = build(self, batch)
         return built
     return cached
 

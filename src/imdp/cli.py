@@ -259,13 +259,18 @@ def cmd_train(args) -> int:
     _write(os.path.join(run_dir, "timing.txt"), "\n".join(wall_lines) + "\n")
     eps_final = (repr(result.log.records[-1].eps_spent)
                  if len(result.log) else "inf")
+    q, sigma = result.privacy.q, result.privacy.sigma
     _write(os.path.join(run_dir, "manifest.txt"), _manifest_text(resolved, {
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_seconds": f"{result.wall_seconds:.3f}",
         "dataset_source": data.source,
         "dataset_sha256": dataset_sha256(data),
-        "sigma": repr(result.privacy.sigma),
+        "sigma": repr(sigma),
+        "calibration_scope": "generator_iteration",
+        # Lemma 3 of the moments accountant (Abadi et al. 2016), which the
+        # formula rests on, assumes sigma >= 1 and q < 1/(16 sigma)
+        "calibration_in_range": str(int(sigma >= 1.0 and 16.0 * q * sigma < 1.0)),
         "accountant_eps_spent": eps_final,
         "metrics": "metrics.log",
         "checkpoint": "checkpoint.ckpt",

@@ -51,7 +51,12 @@ def check_clip(c_p: float) -> None:
 
 
 def calibrate_sigma(epsilon: float, delta: float, q: float, n_d: int) -> float:
-    """Noise scale for a target privacy level; infinity means no noise."""
+    """Noise scale for a target privacy level; infinity means no noise.
+
+    DPGAN's formula: the target covers one generator iteration (n_d critic
+    steps at sampling ratio q), not a whole run.  It rests on Lemma 3 of
+    the moments accountant, which assumes sigma >= 1 and q < 1/(16 sigma).
+    """
     check_level(epsilon, delta)
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")

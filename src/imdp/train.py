@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import privacy
-from .autodiff import Graph, ParamStore, backward, forward
+from .autodiff import Graph, ParamStore, backward, forward, graph_per_batch
 from .data import Dataset, batch_iter
 from .latent import LatentSpec, MiBound, mi_lower_bound, sample_codes
 from .nets import CriticQNet, GeneratorNet, NetConfig, build_critic, build_generator
@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError("batch and n_d must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.latent.categorical or self.latent.continuous):
+            raise ValueError("training needs at least one latent code")
         for name in ("lr_critic", "lr_gen"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -179,48 +181,9 @@ def mi_objective(g: Graph, mi: MiBound, lambda_cat: float, lambda_cont: float) -
 
 
 @dataclass
-class _CriticStepGraph:
-    graph: Graph
-    loss: int
-
-
-@dataclass
-class _GenStepGraph:
-    graph: Graph
-    loss: int
-    mi_loss: int
-    mi: MiBound
-
-
-def _build_critic_graph(critic: CriticQNet, batch: int) -> _CriticStepGraph:
-    g = Graph()
-    x_real = g.input("x_real", (batch, critic.data_dim))
-    x_fake = g.input("x_fake", (batch, critic.data_dim))
-    s_real = critic.append_score_head(g, critic.append_trunk(g, x_real))
-    s_fake = critic.append_score_head(g, critic.append_trunk(g, x_fake))
-    return _CriticStepGraph(graph=g, loss=critic_loss(g, s_real, s_fake))
-
-
-def _build_gen_graph(gen: GeneratorNet, critic: CriticQNet, spec: LatentSpec,
-                     batch: int, lambda_cat: float, lambda_cont: float) -> _GenStepGraph:
-    g = Graph()
-    gen_in = g.input("gen_in", (batch, gen.input_width))
-    x_fake = gen.append_to_graph(g, gen_in)
-    trunk = critic.append_trunk(g, x_fake)
-    score = critic.append_score_head(g, trunk)
-    cat_nodes, cont_node = critic.append_q_heads(g, trunk)
-    cat_targets = [g.input(f"cat{i}", (batch, k))
-                   for i, k in enumerate(spec.categorical)]
-    cont_target = g.input("cont", (batch, spec.n_cont)) if spec.n_cont else None
-    mi = mi_lower_bound(g, spec, cat_nodes, cat_targets, cont_node, cont_target)
-    loss = generator_loss(g, score, mi, lambda_cat, lambda_cont)
-    return _GenStepGraph(graph=g, loss=loss,
-                         mi_loss=mi_objective(g, mi, lambda_cat, lambda_cont), mi=mi)
-
-
-@dataclass
 class Trainer:
-    """Holds the nets, graphs, optimizer state, and rng streams of one run."""
+    """Holds the nets, optimizer state, and rng streams of one run; its
+    step graphs are built on first use, once per batch size."""
 
     config: TrainConfig
     gen: GeneratorNet
@@ -231,10 +194,32 @@ class Trainer:
     opt_gen: RMSProp
     codes_rng: np.random.Generator
     noise_rng: np.random.Generator
-    critic_graph: _CriticStepGraph
-    gen_graph: _GenStepGraph
     last_wdist: float = 0.0
     last_critic_loss: float = 0.0
+
+    @graph_per_batch
+    def critic_graph(self, batch: int) -> tuple[Graph, int]:
+        g = Graph()
+        x_real = g.input("x_real", (batch, self.critic.data_dim))
+        x_fake = g.input("x_fake", (batch, self.critic.data_dim))
+        s_real = self.critic.append_score_head(g, self.critic.append_trunk(g, x_real))
+        s_fake = self.critic.append_score_head(g, self.critic.append_trunk(g, x_fake))
+        return g, critic_loss(g, s_real, s_fake)
+
+    @graph_per_batch
+    def gen_graph(self, batch: int) -> tuple[Graph, int, int, MiBound]:
+        cfg = self.config
+        g = Graph()
+        x_fake = self.gen.append_to_graph(g, g.input("gen_in", (batch, self.gen.input_width)))
+        trunk = self.critic.append_trunk(g, x_fake)
+        score = self.critic.append_score_head(g, trunk)
+        cat_nodes, cont_node = self.critic.append_q_heads(g, trunk)
+        cat_targets = [g.input(f"cat{i}", (batch, k))
+                       for i, k in enumerate(cfg.latent.categorical)]
+        cont_target = g.input("cont", (batch, cfg.latent.n_cont)) if cfg.latent.n_cont else None
+        mi = mi_lower_bound(g, cfg.latent, cat_nodes, cat_targets, cont_node, cont_target)
+        return (g, generator_loss(g, score, mi, cfg.lambda_cat, cfg.lambda_cont),
+                mi_objective(g, mi, cfg.lambda_cat, cfg.lambda_cont), mi)
 
     def critic_round(self, batches) -> None:
         """The n_d critic updates of one generator iteration.
@@ -256,13 +241,13 @@ class Trainer:
     def critic_step(self, x_real: np.ndarray, x_fake: np.ndarray) -> None:
         """One noisy, clipped critic update on a real and a generated batch."""
         cfg = self.config
-        cg = self.critic_graph
-        acts = forward(cg.graph, self.store, {"x_real": x_real, "x_fake": x_fake})
-        loss_value = float(acts[cg.loss])
+        graph, loss = self.critic_graph(cfg.batch)
+        acts = forward(graph, self.store, {"x_real": x_real, "x_fake": x_fake})
+        loss_value = float(acts[loss])
         self.last_critic_loss = loss_value
         self.last_wdist = -loss_value
         names = self.critic.critic_path_names()
-        backward(cg.graph, self.store, acts, cg.loss, wrt=names)
+        backward(graph, self.store, acts, loss, wrt=names)
         if self.spec.sigma > 0.0:
             # One N(0, (sigma c_p)^2) draw per coordinate of the sqrt(m)-scaled
             # mean gradient, rescaled back: std sigma c_p sqrt(m) on the batch
@@ -290,16 +275,16 @@ class Trainer:
             inputs[f"cat{i}"] = oh
         if codes.cont is not None:
             inputs["cont"] = codes.cont
-        sg = self.gen_graph
-        acts = forward(sg.graph, self.store, inputs)
-        loss_value = float(acts[sg.loss])
-        l_i = float(acts[sg.mi.total])
+        graph, loss, mi_loss, mi = self.gen_graph(cfg.batch)
+        acts = forward(graph, self.store, inputs)
+        loss_value = float(acts[loss])
+        l_i = float(acts[mi.total])
         gen_names = self.gen.param_names()
         mi_names = [*self.critic.trunk_names(), *self.critic.q_head_names()]
         # Both passes run before either update: param activations alias
         # the stored arrays.  The second pass leaves the gen.* slots alone.
-        backward(sg.graph, self.store, acts, sg.loss, wrt=gen_names)
-        backward(sg.graph, self.store, acts, sg.mi_loss, wrt=mi_names)
+        backward(graph, self.store, acts, loss, wrt=gen_names)
+        backward(graph, self.store, acts, mi_loss, wrt=mi_names)
         self.opt_gen.update(self.store, gen_names + mi_names)
         privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
         return loss_value, l_i
@@ -325,10 +310,7 @@ def build_trainer(config: TrainConfig, data: Dataset) -> Trainer:
         config=config, gen=gen, critic=critic, spec=spec, store=store,
         opt_critic=RMSProp(config.lr_critic), opt_gen=RMSProp(config.lr_gen),
         codes_rng=np.random.default_rng(seeds["codes"]),
-        noise_rng=np.random.default_rng(seeds["noise"]),
-        critic_graph=_build_critic_graph(critic, config.batch),
-        gen_graph=_build_gen_graph(gen, critic, config.latent, config.batch,
-                                   config.lambda_cat, config.lambda_cont))
+        noise_rng=np.random.default_rng(seeds["noise"]))
 
 
 @dataclass

@@ -99,7 +99,6 @@ class TestParseConfig:
         LatentSpec(z_dim=8, categorical=(8, 3), continuous=((-1.0, 1.0), (0.0, 2.5))),
         LatentSpec(z_dim=3, categorical=(4,), continuous=()),
         LatentSpec(z_dim=3, categorical=(), continuous=((-2.0, 0.5),)),
-        LatentSpec(z_dim=5, categorical=(), continuous=()),
     ])
     def test_latent_spec_round_trips_through_config_text(self, spec):
         resolved = parse_config(None, {
@@ -107,6 +106,10 @@ class TestParseConfig:
             "latent.cat": ",".join(str(k) for k in spec.categorical),
             "latent.cont": ",".join(f"{lo}:{hi}" for lo, hi in spec.continuous)})
         assert resolved.train_config().latent == spec
+
+    def test_latent_spec_without_codes_rejected(self):
+        with pytest.raises(ConfigError, match="training needs at least one latent code"):
+            parse_config(None, {"latent.z_dim": "5", "latent.cat": "", "latent.cont": ""})
 
     def test_malformed_continuous_code_rejected(self):
         with pytest.raises(ConfigError, match="low:high"):
@@ -330,6 +333,34 @@ class TestCmdTrain:
         out.mkdir()
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         assert list(out.iterdir()) == []
+
+    def test_no_codes_rejected_before_the_dataset_loads(self, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", loads.append)
+        cfg = fast_config_file(tmp_path, **{"latent.cat": "", "latent.cont": ""})
+        out = str(tmp_path / "out")
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        assert "training needs at least one latent code" in capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("cfg_file, flags, sigma, in_range", [
+        ("golden", [], 0.431, "0"),
+        ("fast", ["--epsilon", "0.1", "--batch", "16",
+                  "--dataset", "mixture:k=4,n=1600,std=0.1,seed=1"], 1.517, "1"),
+    ], ids=["eps-2.2-golden", "eps-0.1"])
+    def test_manifest_says_what_the_calibration_covers(self, tmp_path, cfg_file, flags,
+                                                        sigma, in_range):
+        cfg = (os.path.join(os.path.dirname(__file__), "golden", "eps-2.2.cfg")
+               if cfg_file == "golden" else fast_config_file(tmp_path))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--ng", "1", *flags,
+                     "--out", str(out)]) == EXIT_OK
+        manifest = dict(line.split("=", 1) for line in
+                        (next(out.iterdir()) / "manifest.txt").read_text().splitlines()
+                        if "=" in line and not line.startswith("#"))
+        assert float(manifest["sigma"]) == pytest.approx(sigma, abs=5e-4)
+        assert manifest["calibration_scope"] == "generator_iteration"
+        assert manifest["calibration_in_range"] == in_range
 
     @pytest.mark.parametrize("extra, flags, key", [
         ({"train.lr_critic": "nan"}, [], "lr_critic"),

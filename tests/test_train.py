@@ -7,15 +7,15 @@ import pytest
 
 from imdp import privacy
 from imdp import train as train_module
-from imdp.autodiff import Graph, NonFiniteError, ParamStore, backward, forward
+from imdp.autodiff import (Graph, NonFiniteError, ParamStore, ShapeError, backward,
+                           forward, graph_per_batch)
 from imdp.data import Dataset, batch_iter, synth_mixture
 from imdp.latent import LatentSpec, sample_codes
 from imdp.nets import (build_critic, build_generator, generate, load_checkpoint, NetConfig,
                        param_shapes, save_checkpoint)
 from imdp.train import (MetricsLog, MetricsRecord, RMSProp, TrainConfig,
                         build_trainer, critic_loss, derive_seeds,
-                        generator_loss, mi_objective, train,
-                        _build_gen_graph)
+                        generator_loss, mi_objective, train)
 from imdp.latent import mi_lower_bound
 
 SPEC = LatentSpec(z_dim=4, categorical=(4,), continuous=((-1.0, 1.0),))
@@ -99,12 +99,12 @@ class TestGeneratorLoss:
         spec = LatentSpec(z_dim=3, categorical=(4, 3), continuous=((-1.0, 1.0),))
         cfg = small_config(latent=spec, lambda_cat=0.5, lambda_cont=0.25)
         tr = build_trainer(cfg, mixture())
-        sg = tr.gen_graph
-        nodes = sg.graph.nodes
-        loss, mi_loss = nodes[sg.loss], nodes[sg.mi_loss]
+        graph, loss_id, mi_loss_id, mi = tr.gen_graph(cfg.batch)
+        nodes = graph.nodes
+        loss, mi_loss = nodes[loss_id], nodes[mi_loss_id]
         assert loss.op == mi_loss.op == "weighted_sum"
         assert nodes[loss.args[0]].op == "mean"
-        assert loss.args[1:] == mi_loss.args == (sg.mi.cat, sg.mi.cont)
+        assert loss.args[1:] == mi_loss.args == (mi.cat, mi.cont)
         assert loss.w == (-1.0, -0.5, -0.25)
         assert mi_loss.w == (-0.5, -0.25)
         assert loss.k is None and mi_loss.k is None
@@ -116,9 +116,9 @@ class TestGeneratorLoss:
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(3))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
-        sg = tr.gen_graph
-        acts = forward(sg.graph, tr.store, inputs)
-        grads = backward(sg.graph, tr.store, acts, sg.loss)
+        graph, loss, _, _ = tr.gen_graph(cfg.batch)
+        acts = forward(graph, tr.store, inputs)
+        grads = backward(graph, tr.store, acts, loss)
         assert any(np.abs(grads[n]).max() > 0 for n in tr.gen.param_names())
         assert any(np.abs(grads[n]).max() > 0 for n in tr.critic.q_head_names())
 
@@ -139,15 +139,14 @@ class TestCriticStep:
         opt = RMSProp(cfg.lr_critic)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
-        from imdp.train import _build_critic_graph
-        cg = _build_critic_graph(critic, cfg.batch)
+        cg, loss = build_trainer(cfg, data).critic_graph(cfg.batch)
         for _ in range(3):
             x_real = next(batches)
             codes = sample_codes(cfg.latent, cfg.batch, codes_rng)
             gg, _, out = gen._graph(cfg.batch)
             x_fake = forward(gg, store, {"gen_in": codes.concat()})[out]
-            acts = forward(cg.graph, store, {"x_real": x_real, "x_fake": x_fake})
-            backward(cg.graph, store, acts, cg.loss)
+            acts = forward(cg, store, {"x_real": x_real, "x_fake": x_fake})
+            backward(cg, store, acts, loss)
             opt.update(store, critic.critic_path_names())
             privacy.clip_weights(store, cfg.c_p, critic.critic_path_names())
 
@@ -251,6 +250,30 @@ def assert_wrt_pass_matches_full(graph, store, acts, loss, wrt):
             assert (slot == 7.0).all(), name
 
 
+def test_each_graph_per_batch_method_keeps_its_own_graphs():
+    class TwoGraphs:
+        @graph_per_batch
+        def one(self, batch):
+            return ("one", batch)
+
+        @graph_per_batch
+        def two(self, batch):
+            return ("two", batch)
+
+    obj = TwoGraphs()
+    assert obj.one(4) == ("one", 4)
+    assert obj.two(4) == ("two", 4)
+    assert obj.one(4) == ("one", 4)
+    cfg = small_config()
+    tr = build_trainer(cfg, mixture())
+    assert tr.critic_graph(cfg.batch) is tr.critic_graph(cfg.batch)
+    assert tr.critic_graph(cfg.batch) is not tr.gen_graph(cfg.batch)
+    # the steps look their graph up at the configured batch size
+    x = mixture().x[:cfg.batch // 2]
+    with pytest.raises(ShapeError):
+        tr.critic_step(x, x)
+
+
 class TestSharedStore:
     def test_trained_and_loaded_pairs_share_one_store(self, tmp_path):
         tr = build_trainer(small_config(), mixture())
@@ -274,10 +297,9 @@ class TestPrunedBackwardOnTrainerGraphs:
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(5))
         gg, _, out = tr.gen._graph(cfg.batch)
         x_fake = forward(gg, tr.store, {"gen_in": codes.concat()})[out]
-        cg = tr.critic_graph
-        acts = forward(cg.graph, tr.store, {"x_real": data.x[:cfg.batch], "x_fake": x_fake})
-        assert_wrt_pass_matches_full(cg.graph, tr.store, acts, cg.loss,
-                                     tr.critic.critic_path_names())
+        cg, loss = tr.critic_graph(cfg.batch)
+        acts = forward(cg, tr.store, {"x_real": data.x[:cfg.batch], "x_fake": x_fake})
+        assert_wrt_pass_matches_full(cg, tr.store, acts, loss, tr.critic.critic_path_names())
 
     def test_generator_graph_both_passes(self):
         data = mixture()
@@ -286,12 +308,11 @@ class TestPrunedBackwardOnTrainerGraphs:
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(6))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
-        sg = tr.gen_graph
-        acts = forward(sg.graph, tr.store, inputs)
-        assert_wrt_pass_matches_full(sg.graph, tr.store, acts, sg.loss,
-                                     tr.gen.param_names())
+        sg, loss, mi_loss, _ = tr.gen_graph(cfg.batch)
+        acts = forward(sg, tr.store, inputs)
+        assert_wrt_pass_matches_full(sg, tr.store, acts, loss, tr.gen.param_names())
         mi_names = [*tr.critic.trunk_names(), *tr.critic.q_head_names()]
-        assert_wrt_pass_matches_full(sg.graph, tr.store, acts, sg.mi_loss, mi_names)
+        assert_wrt_pass_matches_full(sg, tr.store, acts, mi_loss, mi_names)
 
 
 class TestGeneratorStep:
@@ -302,9 +323,9 @@ class TestGeneratorStep:
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(4))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
-        sg = tr.gen_graph
-        acts = forward(sg.graph, tr.store, inputs)
-        grads = backward(sg.graph, tr.store, acts, sg.mi_loss)
+        sg, _, mi_loss, _ = tr.gen_graph(cfg.batch)
+        acts = forward(sg, tr.store, inputs)
+        grads = backward(sg, tr.store, acts, mi_loss)
         assert np.abs(grads["q.cat0.W"]).max() == 0.0
         assert np.abs(grads["q.cont.W"]).max() > 0.0
 
@@ -321,8 +342,9 @@ class TestGeneratorStep:
         tr2 = build_trainer(cfg, data)
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
-        acts = forward(tr2.gen_graph.graph, tr2.store, inputs)
-        assert l_i == pytest.approx(float(acts[tr2.gen_graph.mi.total]), abs=0)
+        sg, _, _, mi = tr2.gen_graph(cfg.batch)
+        acts = forward(sg, tr2.store, inputs)
+        assert l_i == pytest.approx(float(acts[mi.total]), abs=0)
 
     def test_deterministic(self):
         data = mixture()
@@ -398,10 +420,9 @@ class TestTrain:
         opt_c, opt_g = RMSProp(cfg.lr_critic), RMSProp(cfg.lr_gen)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
-        from imdp.train import _build_critic_graph
-        cg = _build_critic_graph(critic, cfg.batch)
-        sg = _build_gen_graph(gen, critic, cfg.latent, cfg.batch,
-                              cfg.lambda_cat, cfg.lambda_cont)
+        graphs = build_trainer(cfg, data)
+        cg, critic_loss_id = graphs.critic_graph(cfg.batch)
+        sg, gen_loss_id, mi_loss_id, _ = graphs.gen_graph(cfg.batch)
         critic_names = critic.critic_path_names()
         mi_names = [*critic.trunk_names(), *critic.q_head_names()]
         for _ in range(cfg.n_g):
@@ -410,17 +431,17 @@ class TestTrain:
                 codes = sample_codes(cfg.latent, cfg.batch, codes_rng)
                 gg, _, out = gen._graph(cfg.batch)
                 x_fake = forward(gg, store, {"gen_in": codes.concat()})[out]
-                acts = forward(cg.graph, store, {"x_real": x_real, "x_fake": x_fake})
-                backward(cg.graph, store, acts, cg.loss)
+                acts = forward(cg, store, {"x_real": x_real, "x_fake": x_fake})
+                backward(cg, store, acts, critic_loss_id)
                 opt_c.update(store, critic_names)
                 privacy.clip_weights(store, cfg.c_p, critic_names)
             codes = sample_codes(cfg.latent, cfg.batch, codes_rng)
             inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                       "cont": codes.cont}
-            acts = forward(sg.graph, store, inputs)
-            backward(sg.graph, store, acts, sg.loss)
+            acts = forward(sg, store, inputs)
+            backward(sg, store, acts, gen_loss_id)
             g1 = {n: store.grads[n].copy() for n in gen.param_names()}
-            backward(sg.graph, store, acts, sg.mi_loss)
+            backward(sg, store, acts, mi_loss_id)
             for n, g in g1.items():
                 store.grads[n][...] = g
             opt_g.update(store, gen.param_names())
