@@ -26,7 +26,7 @@ from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_c
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
 from .privacy import AccountantState, accumulate, calibrate_sigma, check_epsilon, spent_epsilon
-from .train import TrainConfig, build_trainer, keep_freed_heap, train
+from .train import TrainConfig, Trainer, keep_freed_heap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -211,14 +211,17 @@ def _out_root(flag_value: str | None) -> str:
 
 
 def _make_run_dir(root: str, config_hash: str) -> str:
+    """Make ``<hash12>``, or the first of ``<hash12>-1``, ``-2``, ... that
+    ``os.makedirs`` creates, so runs started together never share one."""
     base = os.path.join(root, config_hash[:12])
-    path = base
-    suffix = 0
-    while os.path.exists(path):
-        suffix += 1
-        path = f"{base}-{suffix}"
-    os.makedirs(path)
-    return path
+    path, suffix = base, 0
+    while True:
+        try:
+            os.makedirs(path)
+            return path
+        except FileExistsError:
+            suffix += 1
+            path = f"{base}-{suffix}"
 
 
 def _write(path: str, text: str) -> None:
@@ -239,7 +242,7 @@ def cmd_train(args) -> int:
     resolved = parse_config(args.config, _flag_overrides(args))
     cfg = resolved.train_config()
     data = load_dataset(cfg.dataset)
-    build_trainer(cfg, data)  # rejects the nets/data combination before any file exists
+    trainer = Trainer(cfg, data)  # rejects the nets/data combination before any file exists
     every = resolved.checkpoint_every()
     run_dir = _make_run_dir(_out_root(args.out), resolved.config_hash())
     _write(os.path.join(run_dir, "config.resolved"), resolved.canonical_text())
@@ -250,7 +253,7 @@ def cmd_train(args) -> int:
             save_checkpoint(os.path.join(run_dir, f"checkpoint-{i:06d}.ckpt"),
                             trainer.gen, trainer.critic, trainer.spec)
 
-    result = train(cfg, data, on_iteration=hook)
+    result = trainer.run(on_iteration=hook)
     _write(os.path.join(run_dir, "metrics.log"), result.log.to_text())
     save_checkpoint(os.path.join(run_dir, "checkpoint.ckpt"),
                     result.gen, result.critic, result.privacy)

@@ -7,7 +7,7 @@ through either head is observed by the other.  Architectures are plain
 affine stacks sized to train in minutes on a desk machine.
 
 The builders give each net a store of its own.  A trained pair
-(``train.build_trainer``) and a loaded one (``load_checkpoint``) share
+(``train.Trainer``) and a loaded one (``load_checkpoint``) share
 one ``ParamStore``, so each net reads its names out of it:
 ``param_names`` is ``gen.*`` for the generator and ``dis.*``/``q.*``
 for the critic.
@@ -90,7 +90,7 @@ def _affine(g: Graph, h: int, name: str, n_in: int, n_out: int) -> int:
 class GeneratorNet:
     """Noise-plus-codes to data space; output bounded in [-1, 1] by tanh."""
 
-    store: ParamStore  # set by the builder, build_trainer or load_checkpoint
+    store: ParamStore  # set by the builder, Trainer or load_checkpoint
 
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
@@ -154,7 +154,7 @@ class QPosterior:
 class CriticQNet:
     """Scalar critic and code-recovery head on one shared trunk."""
 
-    store: ParamStore  # set by the builder, build_trainer or load_checkpoint
+    store: ParamStore  # set by the builder, Trainer or load_checkpoint
 
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg

@@ -76,8 +76,6 @@ class TrainConfig:
         privacy.check_clip(self.c_p)
 
     def resolve_privacy(self, dataset_size: int) -> PrivacySpec:
-        if self.batch > dataset_size:
-            raise ValueError("batch exceeds dataset size")
         return PrivacySpec.calibrated(
             epsilon=self.epsilon, delta=self.delta, c_p=self.c_p,
             q=self.batch / dataset_size, n_d=self.n_d)
@@ -180,22 +178,49 @@ def mi_objective(g: Graph, mi: MiBound, lambda_cat: float, lambda_cont: float) -
     return g.weighted_sum(_mi_terms(mi, lambda_cat, lambda_cont))
 
 
-@dataclass
-class Trainer:
-    """Holds the nets, optimizer state, and rng streams of one run; its
-    step graphs are built on first use, once per batch size."""
+def derive_seeds(seed: int) -> dict[str, int]:
+    """Named child seeds so each randomness consumer owns one stream."""
+    state = np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64)
+    return {"nets": int(state[0]), "batches": int(state[1]),
+            "codes": int(state[2]), "noise": int(state[3])}
 
-    config: TrainConfig
+
+@dataclass
+class TrainResult:
     gen: GeneratorNet
     critic: CriticQNet
-    spec: PrivacySpec
-    store: ParamStore
-    opt_critic: RMSProp
-    opt_gen: RMSProp
-    codes_rng: np.random.Generator
-    noise_rng: np.random.Generator
-    last_wdist: float = 0.0
-    last_critic_loss: float = 0.0
+    log: MetricsLog
+    privacy: PrivacySpec
+    wall_seconds: float
+
+
+class Trainer:
+    """One training run on one dataset: the nets, their optimizers, the
+    real-batch, code and noise streams, and the accountant.  Building it
+    rejects a config that does not fit the data; ``run`` trains.  Its
+    step graphs are built on first use, once per batch size."""
+
+    last_wdist = 0.0
+    last_critic_loss = 0.0
+
+    def __init__(self, config: TrainConfig, data: Dataset):
+        seeds = derive_seeds(config.seed)
+        self.config = config
+        self.batches = batch_iter(data, config.batch, seeds["batches"])
+        netcfg = NetConfig(latent=config.latent, data_dim=data.dim,
+                           gen_hidden=config.gen_hidden,
+                           trunk_hidden=config.trunk_hidden, seed=seeds["nets"])
+        self.gen = build_generator(netcfg)
+        self.critic = build_critic(netcfg)
+        self.store = self.gen.store = self.critic.store = ParamStore(
+            {**self.gen.store.params, **self.critic.store.params})
+        self.spec = config.resolve_privacy(data.n)
+        self.accountant = (AccountantState.create(self.spec.q, self.spec.sigma)
+                           if self.spec.private else None)
+        self.opt_critic = RMSProp(config.lr_critic)
+        self.opt_gen = RMSProp(config.lr_gen)
+        self.codes_rng = np.random.default_rng(seeds["codes"])
+        self.noise_rng = np.random.default_rng(seeds["noise"])
 
     @graph_per_batch
     def critic_graph(self, batch: int) -> tuple[Graph, int]:
@@ -221,7 +246,7 @@ class Trainer:
         return (g, generator_loss(g, score, mi, cfg.lambda_cat, cfg.lambda_cont),
                 mi_objective(g, mi, cfg.lambda_cat, cfg.lambda_cont), mi)
 
-    def critic_round(self, batches) -> None:
+    def critic_round(self) -> None:
         """The n_d critic updates of one generator iteration.
 
         Draws the n_d code batches in the order n_d single steps would,
@@ -236,7 +261,7 @@ class Trainer:
         gg, _, g_out = self.gen._graph(cfg.n_d * m)
         fakes = forward(gg, self.store, {"gen_in": np.concatenate(codes)})[g_out]
         for k in range(cfg.n_d):
-            self.critic_step(next(batches), fakes[k * m:(k + 1) * m])
+            self.critic_step(next(self.batches), fakes[k * m:(k + 1) * m])
 
     def critic_step(self, x_real: np.ndarray, x_fake: np.ndarray) -> None:
         """One noisy, clipped critic update on a real and a generated batch."""
@@ -289,37 +314,35 @@ class Trainer:
         privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
         return loss_value, l_i
 
+    def run(self, on_iteration=None) -> TrainResult:
+        """Run the full loop; one metrics record per generator iteration.
 
-def derive_seeds(seed: int) -> dict[str, int]:
-    """Named child seeds so each randomness consumer owns one stream."""
-    state = np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64)
-    return {"nets": int(state[0]), "batches": int(state[1]),
-            "codes": int(state[2]), "noise": int(state[3])}
-
-
-def build_trainer(config: TrainConfig, data: Dataset) -> Trainer:
-    seeds = derive_seeds(config.seed)
-    netcfg = NetConfig(latent=config.latent, data_dim=data.dim,
-                       gen_hidden=config.gen_hidden,
-                       trunk_hidden=config.trunk_hidden, seed=seeds["nets"])
-    gen = build_generator(netcfg)
-    critic = build_critic(netcfg)
-    store = gen.store = critic.store = ParamStore({**gen.store.params, **critic.store.params})
-    spec = config.resolve_privacy(data.n)
-    return Trainer(
-        config=config, gen=gen, critic=critic, spec=spec, store=store,
-        opt_critic=RMSProp(config.lr_critic), opt_gen=RMSProp(config.lr_gen),
-        codes_rng=np.random.default_rng(seeds["codes"]),
-        noise_rng=np.random.default_rng(seeds["noise"]))
-
-
-@dataclass
-class TrainResult:
-    gen: GeneratorNet
-    critic: CriticQNet
-    log: MetricsLog
-    privacy: PrivacySpec
-    wall_seconds: float
+        ``on_iteration(i, trainer)`` fires at each generator-iteration
+        boundary, after that iteration's updates.
+        """
+        cfg = self.config
+        log = MetricsLog()
+        t_start = time.perf_counter()
+        for i in range(1, cfg.n_g + 1):
+            t0 = time.perf_counter()
+            try:
+                self.critic_round()
+                gen_loss, l_i = self.generator_step()
+            except Exception as exc:
+                raise RuntimeError(f"training failed at generator iteration {i}") from exc
+            if self.accountant is not None:
+                self.accountant = accumulate(self.accountant, cfg.n_d)
+                eps = spent_epsilon(self.accountant, cfg.delta)
+            else:
+                eps = privacy.INF
+            log.append(MetricsRecord(
+                iteration=i, critic_loss=self.last_critic_loss, gen_loss=gen_loss,
+                wdist=self.last_wdist, l_i=l_i, eps_spent=eps,
+                wall_ms=(time.perf_counter() - t0) * 1e3))
+            if on_iteration is not None:
+                on_iteration(i, self)
+        return TrainResult(gen=self.gen, critic=self.critic, log=log, privacy=self.spec,
+                           wall_seconds=time.perf_counter() - t_start)
 
 
 @functools.cache
@@ -347,38 +370,6 @@ def keep_freed_heap() -> None:
 
 
 def train(config: TrainConfig, data: Dataset, on_iteration=None) -> TrainResult:
-    """Run the full loop; one metrics record per generator iteration.
-
-    ``on_iteration(i, trainer)`` fires at each generator-iteration
-    boundary, after that iteration's updates.
-    """
+    """Build one run's trainer and run it; see ``Trainer.run``."""
     keep_freed_heap()
-    seeds = derive_seeds(config.seed)
-    trainer = build_trainer(config, data)
-    batches = batch_iter(data, config.batch, seeds["batches"])
-    accountant = None
-    if trainer.spec.private:
-        accountant = AccountantState.create(trainer.spec.q, trainer.spec.sigma)
-    log = MetricsLog()
-    t_start = time.perf_counter()
-    for i in range(1, config.n_g + 1):
-        t0 = time.perf_counter()
-        try:
-            trainer.critic_round(batches)
-            gen_loss, l_i = trainer.generator_step()
-        except Exception as exc:
-            raise RuntimeError(f"training failed at generator iteration {i}") from exc
-        if accountant is not None:
-            accountant = accumulate(accountant, config.n_d)
-            eps = spent_epsilon(accountant, config.delta)
-        else:
-            eps = privacy.INF
-        log.append(MetricsRecord(
-            iteration=i, critic_loss=trainer.last_critic_loss, gen_loss=gen_loss,
-            wdist=trainer.last_wdist, l_i=l_i, eps_spent=eps,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
-        if on_iteration is not None:
-            on_iteration(i, trainer)
-    return TrainResult(gen=trainer.gen, critic=trainer.critic, log=log,
-                       privacy=trainer.spec,
-                       wall_seconds=time.perf_counter() - t_start)
+    return Trainer(config, data).run(on_iteration)

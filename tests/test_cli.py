@@ -5,6 +5,7 @@ import platform
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdp import cli
+from imdp import train as train_module
 from imdp.cli import (_DEFAULTS, ConfigError, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION,
                       build_parser, load_dataset, main, parse_config)
 from imdp.data import MIXTURE_MAX_N, DataFormatError, Dataset, IdxFeatures
@@ -312,9 +314,54 @@ class TestCmdTrain:
         assert "imdp: error: validation:" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        cfg = fast_config_file(tmp_path, **{"train.batch": "500"})
+        # a 1e300 generator step leaves weights whose next forward overflows
+        cfg = fast_config_file(tmp_path, **{"train.lr_gen": "1e300", "train.ng": "3"})
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "x")])
-        assert code == EXIT_VALIDATION  # caught as invalid batch/dataset combination
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "imdp: error: runtime: training failed at generator iteration 2\n")
+
+    def test_nets_built_and_seeds_derived_once(self, tmp_path, monkeypatch):
+        calls = {"build_generator": 0, "derive_seeds": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(train_module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(train_module, name, counted)
+        cfg = fast_config_file(tmp_path)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == {"build_generator": 1, "derive_seeds": 1}
+
+    def test_run_dir_taken_between_check_and_create_gets_the_next_suffix(
+            self, tmp_path, monkeypatch):
+        config_hash = "0123456789abcdef"
+        (tmp_path / config_hash[:12]).mkdir()
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        path = cli._make_run_dir(str(tmp_path), config_hash)
+        assert path == str(tmp_path / f"{config_hash[:12]}-1")
+        assert os.path.isdir(path)
+
+    def test_runs_started_together_get_distinct_run_dirs(self, tmp_path):
+        n = 8
+        start = threading.Barrier(n)
+        paths, errors = [], []
+
+        def make():
+            start.wait(timeout=10)
+            try:
+                paths.append(cli._make_run_dir(str(tmp_path), "0123456789abcdef"))
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=make) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(paths) == sorted(
+            str(tmp_path / ("0123456789ab" + (f"-{k}" if k else ""))) for k in range(n))
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         cfg = fast_config_file(tmp_path, **{"train.ng": "1"})

@@ -1,6 +1,8 @@
+import gc
 import platform
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from imdp.data import Dataset, batch_iter, synth_mixture
 from imdp.latent import LatentSpec, sample_codes
 from imdp.nets import (build_critic, build_generator, generate, load_checkpoint, NetConfig,
                        param_shapes, save_checkpoint)
-from imdp.train import (MetricsLog, MetricsRecord, RMSProp, TrainConfig,
-                        build_trainer, critic_loss, derive_seeds,
-                        generator_loss, mi_objective, train)
+from imdp.train import (MetricsLog, MetricsRecord, RMSProp, TrainConfig, Trainer,
+                        critic_loss, derive_seeds, generator_loss, mi_objective, train)
 from imdp.latent import mi_lower_bound
 
 SPEC = LatentSpec(z_dim=4, categorical=(4,), continuous=((-1.0, 1.0),))
@@ -98,7 +99,7 @@ class TestGeneratorLoss:
     def test_generator_step_objectives_are_single_weighted_sums(self):
         spec = LatentSpec(z_dim=3, categorical=(4, 3), continuous=((-1.0, 1.0),))
         cfg = small_config(latent=spec, lambda_cat=0.5, lambda_cont=0.25)
-        tr = build_trainer(cfg, mixture())
+        tr = Trainer(cfg, mixture())
         graph, loss_id, mi_loss_id, mi = tr.gen_graph(cfg.batch)
         nodes = graph.nodes
         loss, mi_loss = nodes[loss_id], nodes[mi_loss_id]
@@ -112,7 +113,7 @@ class TestGeneratorLoss:
     def test_gradient_reaches_generator_and_recovery_head(self):
         data = mixture()
         cfg = small_config()
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(3))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
@@ -139,7 +140,7 @@ class TestCriticStep:
         opt = RMSProp(cfg.lr_critic)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
-        cg, loss = build_trainer(cfg, data).critic_graph(cfg.batch)
+        cg, loss = Trainer(cfg, data).critic_graph(cfg.batch)
         for _ in range(3):
             x_real = next(batches)
             codes = sample_codes(cfg.latent, cfg.batch, codes_rng)
@@ -151,32 +152,29 @@ class TestCriticStep:
             privacy.clip_weights(store, cfg.c_p, critic.critic_path_names())
 
         # one round of n_d = 3 steps, its fakes from one stacked forward
-        tr = build_trainer(cfg, data)
-        tr_batches = batch_iter(data, cfg.batch, seeds["batches"])
-        tr.critic_round(tr_batches)
+        tr = Trainer(cfg, data)
+        tr.critic_round()
         for name in critic.critic_path_names():
             assert tr.store.params[name].tobytes() == store.params[name].tobytes()
 
     def test_weights_clipped_after_step(self):
         data = mixture()
         cfg = small_config(epsilon=1.22, c_p=0.01, n_d=4)
-        tr = build_trainer(cfg, data)
-        batches = batch_iter(data, cfg.batch, derive_seeds(cfg.seed)["batches"])
-        tr.critic_round(batches)
+        tr = Trainer(cfg, data)
+        tr.critic_round()
         worst = max(np.abs(tr.store.params[n]).max()
                     for n in tr.critic.critic_path_names())
         assert worst <= 0.01
 
     def test_generator_and_q_head_slots_untouched(self):
         data = mixture()
-        tr = build_trainer(small_config(epsilon=1.22), data)
+        tr = Trainer(small_config(epsilon=1.22), data)
         others = [n for n in tr.store.names()
                   if n not in tr.critic.critic_path_names()]
         for n in others:
             tr.store.grads[n][...] = 7.0
-        batches = batch_iter(data, 16, derive_seeds(1)["batches"])
         codes = sample_codes(SPEC, 16, np.random.default_rng(0))
-        tr.critic_step(next(batches), generate(tr.gen, codes))
+        tr.critic_step(next(tr.batches), generate(tr.gen, codes))
         for n in others:
             assert np.all(tr.store.grads[n] == 7.0)
 
@@ -185,9 +183,8 @@ class TestCriticStep:
         cfg = small_config(epsilon=1.22, n_d=3)
         results = []
         for _ in range(2):
-            tr = build_trainer(cfg, data)
-            batches = batch_iter(data, cfg.batch, derive_seeds(cfg.seed)["batches"])
-            tr.critic_round(batches)
+            tr = Trainer(cfg, data)
+            tr.critic_round()
             results.append({n: tr.store.params[n].copy() for n in tr.store.params})
         for name in results[0]:
             assert results[0][name].tobytes() == results[1][name].tobytes()
@@ -207,10 +204,10 @@ class TestCriticRound:
             cfg = TrainConfig(n_g=1, batch=64, seed=2,
                               latent=LatentSpec(z_dim=62, categorical=(10,),
                                                 continuous=((-1.0, 1.0),)))
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         seen = []
         tr.critic_step = lambda x_real, x_fake: seen.append(x_fake.copy())
-        tr.critic_round(batch_iter(data, cfg.batch, 0))
+        tr.critic_round()
         rng = np.random.default_rng(derive_seeds(cfg.seed)["codes"])
         assert len(seen) == cfg.n_d
         for x_fake in seen:
@@ -231,7 +228,7 @@ class TestCriticRound:
         assert len(calls) == 1 + cfg.n_d + 1 == 7
 
     def test_updates_walk_one_critic_run_and_two_generator_step_runs(self):
-        tr = build_trainer(small_config(), mixture())
+        tr = Trainer(small_config(), mixture())
         assert len(tr.store.runs(tr.critic.critic_path_names())) == 1
         gen_step = [*tr.gen.param_names(), *tr.critic.trunk_names(),
                     *tr.critic.q_head_names()]
@@ -265,7 +262,7 @@ def test_each_graph_per_batch_method_keeps_its_own_graphs():
     assert obj.two(4) == ("two", 4)
     assert obj.one(4) == ("one", 4)
     cfg = small_config()
-    tr = build_trainer(cfg, mixture())
+    tr = Trainer(cfg, mixture())
     assert tr.critic_graph(cfg.batch) is tr.critic_graph(cfg.batch)
     assert tr.critic_graph(cfg.batch) is not tr.gen_graph(cfg.batch)
     # the steps look their graph up at the configured batch size
@@ -276,7 +273,7 @@ def test_each_graph_per_batch_method_keeps_its_own_graphs():
 
 class TestSharedStore:
     def test_trained_and_loaded_pairs_share_one_store(self, tmp_path):
-        tr = build_trainer(small_config(), mixture())
+        tr = Trainer(small_config(), mixture())
         assert tr.gen.store is tr.critic.store is tr.store
         assert len(tr.store.runs()) == 1
         names = [*param_shapes(tr.gen.layers()), *param_shapes(tr.critic.layers())]
@@ -293,7 +290,7 @@ class TestPrunedBackwardOnTrainerGraphs:
     def test_critic_graph(self):
         data = mixture()
         cfg = small_config()
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(5))
         gg, _, out = tr.gen._graph(cfg.batch)
         x_fake = forward(gg, tr.store, {"gen_in": codes.concat()})[out]
@@ -304,7 +301,7 @@ class TestPrunedBackwardOnTrainerGraphs:
     def test_generator_graph_both_passes(self):
         data = mixture()
         cfg = small_config()
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(6))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
@@ -319,7 +316,7 @@ class TestGeneratorStep:
     def test_zero_cat_weight_zeroes_cat_head_gradient(self):
         data = mixture()
         cfg = small_config(lambda_cat=0.0)
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         codes = sample_codes(cfg.latent, cfg.batch, np.random.default_rng(4))
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
@@ -332,14 +329,14 @@ class TestGeneratorStep:
     def test_logged_value_matches_recomputation(self):
         data = mixture()
         cfg = small_config()
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         rng_copy = np.random.default_rng(derive_seeds(cfg.seed)["codes"])
         _, l_i = tr.generator_step()
         codes = sample_codes(cfg.latent, cfg.batch, rng_copy)
         # rebuild the same graph inputs against the post-step parameters;
         # the logged value used the pre-step parameters, so recompute using
         # a fresh trainer instead
-        tr2 = build_trainer(cfg, data)
+        tr2 = Trainer(cfg, data)
         inputs = {"gen_in": codes.concat(), "cat0": codes.cat_onehot[0],
                   "cont": codes.cont}
         sg, _, _, mi = tr2.gen_graph(cfg.batch)
@@ -351,14 +348,14 @@ class TestGeneratorStep:
         cfg = small_config()
         vals = []
         for _ in range(2):
-            tr = build_trainer(cfg, data)
+            tr = Trainer(cfg, data)
             vals.append([tr.generator_step() for _ in range(3)])
         assert vals[0] == vals[1]
 
     def test_critic_path_clipped_at_boundary(self):
         data = mixture()
         cfg = small_config(c_p=0.01)
-        tr = build_trainer(cfg, data)
+        tr = Trainer(cfg, data)
         for _ in range(3):
             tr.generator_step()
         worst = max(np.abs(tr.store.params[n]).max()
@@ -395,13 +392,22 @@ class TestTrain:
     def test_error_carries_iteration_index(self):
         data = mixture()
         cfg = small_config(n_g=3, batch=512)  # batch exceeds dataset rows
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^batch size 512 out of range for 256 rows$"):
             train(cfg, data)
         # a 1e300 generator step leaves weights whose next forward overflows
         with pytest.raises(RuntimeError) as exc:
             train(small_config(n_g=3, lr_gen=1e300), data)
         assert str(exc.value) == "training failed at generator iteration 2"
         assert isinstance(exc.value.__cause__, NonFiniteError)
+
+    def test_finished_run_does_not_keep_its_dataset_alive(self):
+        data = mixture()
+        ref = weakref.ref(data)
+        result = train(small_config(n_g=2), data)
+        del data
+        gc.collect()
+        assert ref() is None
+        assert len(result.log) == 2
 
     def test_full_reduction_matches_reference_trainer(self):
         """With sigma=0 the private trainer is byte-equal to a plain
@@ -420,7 +426,7 @@ class TestTrain:
         opt_c, opt_g = RMSProp(cfg.lr_critic), RMSProp(cfg.lr_gen)
         codes_rng = np.random.default_rng(seeds["codes"])
         batches = batch_iter(data, cfg.batch, seeds["batches"])
-        graphs = build_trainer(cfg, data)
+        graphs = Trainer(cfg, data)
         cg, critic_loss_id = graphs.critic_graph(cfg.batch)
         sg, gen_loss_id, mi_loss_id, _ = graphs.gen_graph(cfg.batch)
         critic_names = critic.critic_path_names()
