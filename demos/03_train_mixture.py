@@ -42,7 +42,7 @@ hit = {int(np.linalg.norm(real_means - x[category == c].mean(0), axis=1).argmin(
        for c in range(8)}
 print(f"the 8 categories land on {len(hit)} distinct mixture components")
 
-grid = code_sweep(result.gen, spec, seed=0, cont_steps=5)
+grid = code_sweep(result.gen, seed=0, cont_steps=5)
 print("\nlatent sweep (category 0 and 4 columns, code value by row):")
 for r in range(grid.rows):
     c0 = grid.values[r, 0]

@@ -260,8 +260,8 @@ def cmd_train(args) -> int:
     wall_lines = ["# per-iteration wall clock (ms); non-deterministic, kept out of metrics.log"]
     wall_lines += [f"{r.iteration} {r.wall_ms:.3f}" for r in result.log.records]
     _write(os.path.join(run_dir, "timing.txt"), "\n".join(wall_lines) + "\n")
-    eps_final = (repr(result.log.records[-1].eps_spent)
-                 if len(result.log) else "inf")
+    eps_final = ("inf" if trainer.accountant is None
+                 else repr(spent_epsilon(trainer.accountant, cfg.delta)))
     q, sigma = result.privacy.q, result.privacy.sigma
     _write(os.path.join(run_dir, "manifest.txt"), _manifest_text(resolved, {
         "started": started,
@@ -287,7 +287,7 @@ def cmd_generate(args) -> int:
     seed = _to_int("seed", args.seed, least=0)
     cont_steps = _to_int("cont-steps", args.cont_steps, least=2)
     bundle = load_checkpoint(args.checkpoint)
-    grid = code_sweep(bundle.gen, bundle.latent, seed=seed, cont_steps=cont_steps)
+    grid = code_sweep(bundle.gen, seed=seed, cont_steps=cont_steps)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     d = bundle.gen.data_dim

@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import write_atomic
 from .autodiff import Graph, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
-from .latent import LatentSpec, build_codes, uniform_cont
+from .latent import build_codes, uniform_cont
 from .nets import CriticQNet, GeneratorNet, _affine, _init_layers, generate, q_posterior
 from .train import MetricsLog, TrainConfig, train
 
@@ -58,15 +58,14 @@ class SweepGrid:
         return "\n".join(lines) + "\n"
 
 
-def code_sweep(gen: GeneratorNet, spec: LatentSpec, seed: int,
-               cont_steps: int = 10) -> SweepGrid:
-    """Enumerate the first categorical code across columns against an even
-    grid of the first continuous code across rows, with a fixed noise draw
-    per row.  Every other code sits at category 0 or its range's midpoint."""
+def code_sweep(gen: GeneratorNet, seed: int, cont_steps: int = 10) -> SweepGrid:
+    """Enumerate the first categorical code of the generator's latent spec
+    across columns against an even grid of its first continuous code
+    across rows, with a fixed noise draw per row.  Every other code sits
+    at category 0 or its range's midpoint."""
     if cont_steps < 2:
         raise ValueError("cont_steps must be >= 2")
-    if spec.input_width != gen.input_width:
-        raise ValueError("latent spec does not match generator input width")
+    spec = gen.cfg.latent
     if not spec.categorical:
         raise ValueError("sweep needs a categorical code")
     k = spec.categorical[0]
@@ -158,6 +157,8 @@ def map_categories_to_labels(critic: CriticQNet,
     """
     if mapping_data.y is None:
         raise ValueError("mapping data needs labels")
+    if not critic.cfg.latent.categorical:
+        raise ValueError("the label -> category map needs a categorical code")
     logits = q_posterior(critic, mapping_data.x).cat_logits[0]
     assigned = logits.argmax(axis=1)
     k = logits.shape[1]
@@ -239,9 +240,10 @@ def dataset_sha256(ds: Dataset) -> str:
     return h.hexdigest()
 
 
-def _generate_labeled(gen: GeneratorNet, spec: LatentSpec, category: int,
-                      count: int, rng: np.random.Generator) -> np.ndarray:
+def _generate_labeled(gen: GeneratorNet, category: int, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
     """``count`` rows at one category of the first code, the others at 0."""
+    spec = gen.cfg.latent
     z = rng.standard_normal((count, spec.z_dim))
     cat_ids = [category] + [0] * (len(spec.categorical) - 1)
     return generate(gen, build_codes(spec, z, cat_ids, uniform_cont(spec, count, rng)))
@@ -266,8 +268,8 @@ def _utility_row(eps: float, gen: GeneratorNet, critic: CriticQNet,
     mapping, tie = map_categories_to_labels(critic, map_data)
     rng = np.random.default_rng(seed)
     source = f"generated:eps={eps}"
-    train_ds = Dataset(x=np.concatenate([_generate_labeled(gen, gen.cfg.latent, mapping[lbl],
-                                                           per_class, rng) for lbl in pair]),
+    train_ds = Dataset(x=np.concatenate([_generate_labeled(gen, mapping[lbl], per_class, rng)
+                                         for lbl in pair]),
                        y=np.repeat(pair, per_class), source=source)
     clf = train_binary_classifier(train_ds, epochs=epochs, seed=seed)
     n_train = train_ds.n

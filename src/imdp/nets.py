@@ -207,12 +207,12 @@ class CriticQNet:
 
     @graph_per_batch
     def _graph(self, batch: int):
+        """Trunk and recovery heads, for ``q_posterior``; the score head is
+        built only into the training graphs."""
         g = Graph()
         x = g.input("x", (batch, self.cfg.data_dim))
-        trunk = self.append_trunk(g, x)
-        score = self.append_score_head(g, trunk)
-        cat_nodes, cont_node = self.append_q_heads(g, trunk)
-        return g, score, cat_nodes, cont_node
+        cat_nodes, cont_node = self.append_q_heads(g, self.append_trunk(g, x))
+        return g, cat_nodes, cont_node
 
 
 def build_critic(cfg: NetConfig) -> CriticQNet:
@@ -222,21 +222,12 @@ def build_critic(cfg: NetConfig) -> CriticQNet:
     return net
 
 
-def critic_score(net: CriticQNet, x: np.ndarray) -> np.ndarray:
-    """Unbounded scores, shape (batch, 1)."""
-    x = as_tensor(x, where="critic input")
-    if x.ndim != 2 or x.shape[1] != net.data_dim:
-        raise ValueError(f"expected (batch, {net.data_dim}), got {x.shape}")
-    g, score, _, _ = net._graph(x.shape[0])
-    return forward(g, net.store, {"x": x})[score]
-
-
 def q_posterior(net: CriticQNet, x: np.ndarray) -> QPosterior:
     """Recovery-head outputs: categorical logits and continuous means."""
     x = as_tensor(x, where="recovery input")
     if x.ndim != 2 or x.shape[1] != net.data_dim:
         raise ValueError(f"expected (batch, {net.data_dim}), got {x.shape}")
-    g, _, cat_nodes, cont_node = net._graph(x.shape[0])
+    g, cat_nodes, cont_node = net._graph(x.shape[0])
     acts = forward(g, net.store, {"x": x})
     return QPosterior(
         cat_logits=[acts[n] for n in cat_nodes],

@@ -13,9 +13,11 @@ float64 arithmetic.  The two nets are built into one ``ParamStore``,
 generator first, then critic, so their parameters share one buffer and
 RMSProp, noise, clipping and the sqrt(m) scaling each make one call per
 run (see ``ParamStore.runs``): one run for the critic path, two for the
-generator step.  The generator's weights do not move during the
-n_d critic steps, so ``critic_round`` draws all n_d code batches first,
-in the order the steps would, and runs one generator forward over them.
+generator step.  ``Trainer.__init__`` names both sets once, and each
+RMSProp is built over its set's runs.  The generator's weights do not
+move during the n_d critic steps, so ``critic_round`` draws all n_d code
+batches first, in the order the steps would, and runs one generator
+forward over them.
 """
 from __future__ import annotations
 
@@ -123,27 +125,21 @@ class MetricsLog:
 
 
 class RMSProp:
-    """Root-mean-square gradient scaling without momentum."""
+    """Root-mean-square gradient scaling without momentum, over the one
+    parameter set it is built for: one mean-square buffer per run of
+    ``store.runs(names)``."""
 
     DECAY = 0.99
     EPS = 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, store: ParamStore, names):
         self.lr = lr
-        self.cache: dict[tuple[str, ...], np.ndarray] = {}
+        self.runs = store.runs(names)
+        self.cache = [np.zeros_like(run.grads) for run in self.runs]
 
-    def update(self, store: ParamStore, names) -> None:
-        """Step ``names`` against the store's gradient slots.
-
-        The mean-square state is kept per run of ``store.runs(names)``, so
-        each call must split its names into the runs earlier calls did.
-        """
-        for run in store.runs(names):
-            c = self.cache.get(run.names)
-            if c is None:
-                if any(n in key for key in self.cache for n in run.names):
-                    raise ValueError(f"RMSProp state split differently: {run.names}")
-                c = self.cache[run.names] = np.zeros_like(run.grads)
+    def update(self) -> None:
+        """Step the set against the store's gradient slots."""
+        for run, c in zip(self.runs, self.cache):
             p, g = run.params, run.grads
             c *= self.DECAY
             c += (1.0 - self.DECAY) * g * g
@@ -217,8 +213,13 @@ class Trainer:
         self.spec = config.resolve_privacy(data.n)
         self.accountant = (AccountantState.create(self.spec.q, self.spec.sigma)
                            if self.spec.private else None)
-        self.opt_critic = RMSProp(config.lr_critic)
-        self.opt_gen = RMSProp(config.lr_gen)
+        # the critic path is the only set that sees real data; the
+        # generator step moves the generator, then trunk and recovery heads
+        self.critic_path = self.critic.critic_path_names()
+        self.gen_names = self.gen.param_names()
+        self.recovery_names = [*self.critic.trunk_names(), *self.critic.q_head_names()]
+        self.opt_critic = RMSProp(config.lr_critic, self.store, self.critic_path)
+        self.opt_gen = RMSProp(config.lr_gen, self.store, self.gen_names + self.recovery_names)
         self.codes_rng = np.random.default_rng(seeds["codes"])
         self.noise_rng = np.random.default_rng(seeds["noise"])
 
@@ -271,7 +272,7 @@ class Trainer:
         loss_value = float(acts[loss])
         self.last_critic_loss = loss_value
         self.last_wdist = -loss_value
-        names = self.critic.critic_path_names()
+        names = self.critic_path
         backward(graph, self.store, acts, loss, wrt=names)
         if self.spec.sigma > 0.0:
             # One N(0, (sigma c_p)^2) draw per coordinate of the sqrt(m)-scaled
@@ -288,7 +289,7 @@ class Trainer:
                                      self.noise_rng, names)
             for run in runs:
                 np.divide(run.grads, root_m, out=run.grads)
-        self.opt_critic.update(self.store, names)
+        self.opt_critic.update()
         privacy.clip_weights(self.store, self.spec.c_p, names)
 
     def generator_step(self) -> tuple[float, float]:
@@ -304,14 +305,12 @@ class Trainer:
         acts = forward(graph, self.store, inputs)
         loss_value = float(acts[loss])
         l_i = float(acts[mi.total])
-        gen_names = self.gen.param_names()
-        mi_names = [*self.critic.trunk_names(), *self.critic.q_head_names()]
         # Both passes run before either update: param activations alias
         # the stored arrays.  The second pass leaves the gen.* slots alone.
-        backward(graph, self.store, acts, loss, wrt=gen_names)
-        backward(graph, self.store, acts, mi_loss, wrt=mi_names)
-        self.opt_gen.update(self.store, gen_names + mi_names)
-        privacy.clip_weights(self.store, self.spec.c_p, self.critic.critic_path_names())
+        backward(graph, self.store, acts, loss, wrt=self.gen_names)
+        backward(graph, self.store, acts, mi_loss, wrt=self.recovery_names)
+        self.opt_gen.update()
+        privacy.clip_weights(self.store, self.spec.c_p, self.critic_path)
         return loss_value, l_i
 
     def run(self, on_iteration=None) -> TrainResult:

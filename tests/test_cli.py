@@ -409,6 +409,27 @@ class TestCmdTrain:
         assert manifest["calibration_scope"] == "generator_iteration"
         assert manifest["calibration_in_range"] == in_range
 
+    @pytest.mark.parametrize("epsilon, ng", [("2.2", "0"), ("2.2", "2"), ("inf", "0"),
+                                             ("inf", "2")])
+    def test_manifest_reads_the_accountant_the_run_ended_with(self, tmp_path, epsilon, ng):
+        cfg = fast_config_file(tmp_path, **{"privacy.epsilon": epsilon, "train.ng": ng})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        run_dir = next(out.iterdir())
+        manifest = dict(line.split("=", 1) for line in
+                        (run_dir / "manifest.txt").read_text().splitlines()
+                        if "=" in line and not line.startswith("#"))
+        spent = manifest["accountant_eps_spent"]
+        records = (run_dir / "metrics.log").read_text().splitlines()[1:]
+        if epsilon == "inf":
+            assert spent == "inf"
+        elif ng == "0":
+            # no step taken: every log-moment is 0, so epsilon is log(1/delta)/32
+            assert records == []
+            assert float(spent) == pytest.approx(math.log(1e5) / 32, rel=1e-12)
+        else:
+            assert spent == records[-1].split()[-1]
+
     @pytest.mark.parametrize("extra, flags, key", [
         ({"train.lr_critic": "nan"}, [], "lr_critic"),
         ({"train.lr_gen": "inf"}, [], "lr_gen"),
@@ -734,6 +755,36 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
                              text=True, check=True).stdout
         # ~1100 per call when each load's and sweep's memory goes back to the kernel
         assert float(out) < 100.0
+
+
+class TestCheckpointWithoutCategoricalCode:
+    """One continuous code is enough to train, but neither the sweep nor
+    the label -> category map has a category to read."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        cfg = fast_config_file(tmp_path, **{"latent.cat": "", "train.ng": "1"})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        return str(next(out.iterdir()) / "checkpoint.ckpt")
+
+    def test_generate_exits_1(self, tmp_path, capsys, ckpt):
+        capsys.readouterr()
+        code = main(["generate", "--checkpoint", ckpt, "--out", str(tmp_path / "sweep")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "imdp: error: validation: sweep needs a categorical code\n")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_evaluate_exits_1(self, tmp_path, capsys, ckpt):
+        capsys.readouterr()
+        code = main(["evaluate", "--model", f"inf={ckpt}", "--pair", "0,1",
+                     "--dataset", "mixture:k=4,n=200,std=0.1,seed=2",
+                     "--per-class", "8", "--epochs", "1", "--out", str(tmp_path / "eval")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("imdp: error: validation: the label -> "
+                                           "category map needs a categorical code\n")
+        assert not (tmp_path / "eval").exists()
 
 
 class TestCmdEvaluate:

@@ -38,34 +38,28 @@ def log_from(values):
 class TestCodeSweep:
     def test_grid_shape(self):
         gen, _ = fresh_models()
-        grid = code_sweep(gen, SPEC, seed=0, cont_steps=10)
+        grid = code_sweep(gen, seed=0, cont_steps=10)
         assert grid.values.shape == (10, 8, 2)
         assert grid.rows == 10 and grid.cols == 8
         np.testing.assert_allclose(grid.cont_values, np.linspace(-1, 1, 10))
 
     def test_deterministic(self):
         gen, _ = fresh_models(1)
-        a = code_sweep(gen, SPEC, seed=7, cont_steps=5)
-        b = code_sweep(gen, SPEC, seed=7, cont_steps=5)
+        a = code_sweep(gen, seed=7, cont_steps=5)
+        b = code_sweep(gen, seed=7, cont_steps=5)
         assert a.values.tobytes() == b.values.tobytes()
-
-    def test_spec_mismatch_rejected(self):
-        gen, _ = fresh_models(2)
-        other = LatentSpec(z_dim=9, categorical=(8,), continuous=((-1.0, 1.0),))
-        with pytest.raises(ValueError):
-            code_sweep(gen, other, seed=0)
 
     def test_minimum_steps_enforced(self):
         gen, _ = fresh_models(3)
         with pytest.raises(ValueError):
-            code_sweep(gen, SPEC, seed=0, cont_steps=1)
+            code_sweep(gen, seed=0, cont_steps=1)
 
     def test_pgm_rendering(self, tmp_path):
         spec = LatentSpec(z_dim=4, categorical=(3,), continuous=((-1.0, 1.0),))
         cfg = NetConfig(latent=spec, data_dim=16, gen_hidden=(8,),
                         trunk_hidden=(8,), seed=4)
         gen = build_generator(cfg)
-        grid = code_sweep(gen, spec, seed=0, cont_steps=4)
+        grid = code_sweep(gen, seed=0, cont_steps=4)
         path = tmp_path / "sweep.pgm"
         grid.to_pgm(path, img_side=4)
         blob = path.read_bytes()
@@ -74,7 +68,7 @@ class TestCodeSweep:
 
     def test_table_rendering(self):
         gen, _ = fresh_models(5)
-        grid = code_sweep(gen, SPEC, seed=0, cont_steps=3)
+        grid = code_sweep(gen, seed=0, cont_steps=3)
         lines = grid.to_table().strip().splitlines()
         assert lines[0] == "category,code_value,x0,x1"
         assert len(lines) == 1 + 3 * 8

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdp.autodiff import _softmax_rows as softmax
+from imdp.autodiff import forward
 from imdp.cli import EXIT_VALIDATION, main
+from imdp.data import Dataset
 from imdp.latent import Codes, LatentSpec, sample_codes
 from imdp.nets import (CheckpointError, GeneratorNet, NetConfig,
-                       build_critic, build_generator, critic_score, generate,
+                       build_critic, build_generator, generate,
                        load_checkpoint, param_shapes, q_posterior, save_checkpoint)
 from imdp.privacy import INF, PrivacySpec
+from imdp.train import TrainConfig, Trainer
 
 SPEC = LatentSpec(z_dim=62, categorical=(10,), continuous=((-1.0, 1.0),))
 
@@ -98,38 +101,26 @@ class TestGenerate:
 
 
 class TestCriticScore:
-    def test_zero_weights_score_equals_bias(self):
-        cfg = small_cfg(1)
-        critic = build_critic(cfg)
-        for name in critic.store.params:
-            critic.store.params[name][...] = 0.0
-        critic.store.params["dis.score.b"][...] = 0.25
-        scores = critic_score(critic, np.random.default_rng(1).normal(size=(6, 5)))
-        np.testing.assert_array_equal(scores, np.full((6, 1), 0.25))
-
-    def test_identical_rows_identical_scores(self):
-        critic = build_critic(small_cfg(4))
-        row = np.random.default_rng(2).uniform(-1, 1, size=5)
-        scores = critic_score(critic, np.tile(row, (8, 1)))
-        assert np.unique(scores).size == 1
-
     def test_matches_straight_line_recomputation(self):
-        cfg = small_cfg(5)
-        critic = build_critic(cfg)
+        """The training critic graph's real-score node against numpy."""
+        cfg = TrainConfig(n_g=0, batch=7, seed=5, latent=small_cfg().latent,
+                          gen_hidden=(8, 8), trunk_hidden=(8, 8))
         x = np.random.default_rng(3).uniform(-1, 1, size=(7, 5))
-        p = critic.store.params
+        tr = Trainer(cfg, Dataset(x))
+        graph, loss = tr.critic_graph(7)
+        # loss = -mean(real scores) + mean(fake scores)
+        mean_real = graph.nodes[loss].args[0]
+        assert graph.nodes[loss].w[0] == -1.0 and graph.nodes[mean_real].op == "mean"
+        score = graph.nodes[mean_real].args[0]
+        acts = forward(graph, tr.store, {"x_real": x, "x_fake": np.zeros_like(x)})
+        p = tr.store.params
 
         def leaky(v):
             return np.where(v > 0, v, 0.01 * v)
 
         h = leaky(leaky(x @ p["dis.h0.W"] + p["dis.h0.b"]) @ p["dis.h1.W"] + p["dis.h1.b"])
         want = h @ p["dis.score.W"] + p["dis.score.b"]
-        np.testing.assert_allclose(critic_score(critic, x), want, rtol=0, atol=0)
-
-    def test_shape_mismatch_rejected(self):
-        critic = build_critic(small_cfg(1))
-        with pytest.raises(ValueError):
-            critic_score(critic, np.zeros((4, 7)))
+        np.testing.assert_allclose(acts[score], want, rtol=0, atol=0)
 
 
 class TestQPosterior:
