@@ -25,7 +25,8 @@ from .data import DataFormatError, Dataset, load_idx_images, load_idx_labels, sy
 from .evaluation import code_sweep, dataset_sha256, pair_rows, utility_privacy_curve
 from .latent import LatentSpec
 from .nets import load_checkpoint, save_checkpoint
-from .privacy import AccountantState, accumulate, calibrate_sigma, check_epsilon, spent_epsilon
+from .privacy import (LAMBDA_MAX, AccountantState, accumulate, calibrate_sigma, check_epsilon,
+                      spent_epsilon)
 from .train import TrainConfig, Trainer, keep_freed_heap
 
 EXIT_OK = 0
@@ -123,7 +124,6 @@ class ResolvedConfig:
                 delta=_to_float("privacy.delta", self.get("privacy.delta")),
                 c_p=_to_float("privacy.clip", self.get("privacy.clip")),
                 seed=_to_int("train.seed", self.get("train.seed")),
-                dataset=self.get("train.dataset"),
                 latent=LatentSpec.parse(self.get("latent.z_dim"), self.get("latent.cat"),
                                         self.get("latent.cont")),
                 gen_hidden=_to_int_tuple("net.gen_hidden", self.get("net.gen_hidden")),
@@ -241,7 +241,7 @@ def _manifest_text(resolved: ResolvedConfig, entries: dict[str, str]) -> str:
 def cmd_train(args) -> int:
     resolved = parse_config(args.config, _flag_overrides(args))
     cfg = resolved.train_config()
-    data = load_dataset(cfg.dataset)
+    data = load_dataset(resolved.get("train.dataset"))
     trainer = Trainer(cfg, data)  # rejects the nets/data combination before any file exists
     every = resolved.checkpoint_every()
     run_dir = _make_run_dir(_out_root(args.out), resolved.config_hash())
@@ -398,7 +398,7 @@ def cmd_accountant(args) -> int:
     spent = spent_epsilon(state, delta)
     alphas = " ".join([f"{a:.6g}" for a in state.log_moments.tolist()])
     print(f"sigma = {sigma:.6g}\nsteps = {state.steps}\n"
-          f"alpha(1..{state.lambda_max}) = {alphas}\n"
+          f"alpha(1..{LAMBDA_MAX}) = {alphas}\n"
           f"spent_epsilon(delta={delta:g}) = {spent:.6g}")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """Evaluation protocol: code sweeps, the utility-vs-privacy classifier
-experiment, training-curve statistics, and timing overhead.
+experiment, and training-curve statistics.
 
 The evaluator never touches the privacy engine: classifiers train on
 generated data with plain gradient descent and are scored on real
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .autodiff import Graph, backward, forward, graph_per_batch
 from .data import Dataset, bytes_from_features
 from .latent import build_codes, uniform_cont
 from .nets import CriticQNet, GeneratorNet, _affine, _init_layers, generate, q_posterior
-from .train import MetricsLog, TrainConfig, train
+from .train import MetricsLog
 
 
 @dataclass
@@ -196,9 +196,6 @@ class UtilityReport:
                          f"{r.n_train},{r.n_test},{int(r.mapping_tie)}")
         return "\n".join(lines) + "\n"
 
-    def accuracies(self) -> dict[float, float]:
-        return {r.epsilon: r.accuracy for r in self.rows}
-
     def spearman(self) -> float:
         """Rank correlation between privacy level and accuracy."""
         return spearman_rho([r.epsilon for r in self.rows],
@@ -337,32 +334,3 @@ def curve_stats(log: MetricsLog, field: str, window: int | None = None) -> Curve
         first_half_mean=float(first.mean()) if first.size else float("nan"),
         first_half_var=float(first.var()) if first.size else float("nan"),
         second_half_mean=float(second.mean()), second_half_var=float(second.var()))
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    private_ms: float
-    nonprivate_ms: float
-
-    @property
-    def ratio(self) -> float:
-        return self.private_ms / self.nonprivate_ms
-
-
-def timing_overhead(config: TrainConfig, data: Dataset) -> TimingReport:
-    """Wall-clock of the private path against the matched non-private path.
-
-    Each side runs its ``n_g`` iterations as up to five near-equal
-    ``train`` calls, alternating with the other side's and swapping which
-    side goes first, and sums their wall time.  A swing in machine speed
-    then lands on both sides alike."""
-    if config.epsilon == float("inf"):
-        raise ValueError("config must request a finite privacy level")
-    parts = max(1, min(5, config.n_g))
-    sides = [config, replace(config, epsilon=float("inf"))]
-    seconds = [0.0, 0.0]
-    for i in range(parts):
-        n_g = config.n_g // parts + (i < config.n_g % parts)
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            seconds[side] += train(replace(sides[side], n_g=n_g), data).wall_seconds
-    return TimingReport(private_ms=seconds[0] * 1e3, nonprivate_ms=seconds[1] * 1e3)

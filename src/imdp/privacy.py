@@ -213,16 +213,12 @@ class AccountantState:
     q: float
     sigma: float
     steps: int
-    step_moments: np.ndarray  # alpha(lam) of a single step, lam = 1..lambda_max
+    step_moments: np.ndarray  # alpha(lam) of a single step, lam = 1..LAMBDA_MAX
 
     @classmethod
     def create(cls, q: float, sigma: float) -> "AccountantState":
         moments = np.array(_log_moments(q, sigma, 1, LAMBDA_MAX))
         return cls(q=q, sigma=sigma, steps=0, step_moments=moments)
-
-    @property
-    def lambda_max(self) -> int:
-        return len(self.step_moments)
 
     @functools.cached_property
     def log_moments(self) -> np.ndarray:
@@ -243,20 +239,16 @@ def accumulate(state: AccountantState, steps: int) -> AccountantState:
                            step_moments=state.step_moments)
 
 
-@functools.lru_cache(maxsize=64)
-def _orders(count: int) -> np.ndarray:
-    """The orders 1..count as read-only float64, which they equal exactly."""
-    orders = np.arange(1.0, count + 1)
-    orders.flags.writeable = False
-    return orders
+# the orders 1..LAMBDA_MAX as read-only float64, which they equal exactly
+_ORDERS = np.arange(1.0, LAMBDA_MAX + 1)
+_ORDERS.flags.writeable = False
 
 
 def spent_epsilon(state: AccountantState, delta: float) -> float:
     """Tail-bound conversion: min over lam of (alpha(lam) + log(1/delta)) / lam.
 
-    With zero steps this floors at log(1/delta) / lambda_max, the
+    With zero steps this floors at log(1/delta) / LAMBDA_MAX, the
     smallest epsilon the finite moment range can certify.
     """
     check_delta(delta)
-    return float(np.min((state.log_moments + math.log(1.0 / delta))
-                        / _orders(state.lambda_max)))
+    return float(np.min((state.log_moments + math.log(1.0 / delta)) / _ORDERS))

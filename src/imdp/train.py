@@ -52,7 +52,6 @@ class TrainConfig:
     delta: float = 1e-5
     c_p: float = 0.01
     seed: int = 0
-    dataset: str = ""
     latent: LatentSpec = field(default_factory=lambda: LatentSpec(z_dim=62))
     gen_hidden: tuple[int, ...] = (128, 128)
     trunk_hidden: tuple[int, ...] = (128, 128)
@@ -115,7 +114,7 @@ class MetricsLog:
         return len(self.records)
 
     def series(self, name: str) -> np.ndarray:
-        if name not in MetricsRecord.FIELDS and name != "wall_ms":
+        if name not in MetricsRecord.FIELDS:
             raise KeyError(f"unknown metrics field {name!r}")
         return np.array([getattr(r, name) for r in self.records])
 

@@ -1,8 +1,9 @@
 import sys
+from dataclasses import dataclass, replace
 
 import pytest
 
-from imdp.data import synth_mixture
+from imdp.data import Dataset, synth_mixture
 from imdp.latent import LatentSpec
 from imdp.train import TrainConfig, train
 
@@ -20,6 +21,35 @@ def trend_config(seed: int, epsilon: float) -> TrainConfig:
     return TrainConfig(n_g=TREND_N_G, batch=64, seed=seed, epsilon=epsilon,
                        latent=TREND_SPEC, c_p=0.1, lr_critic=2e-4, lr_gen=1e-3,
                        gen_hidden=(64, 64), trunk_hidden=(128, 128))
+
+
+@dataclass(frozen=True)
+class TimingReport:
+    private_ms: float
+    nonprivate_ms: float
+
+    @property
+    def ratio(self) -> float:
+        return self.private_ms / self.nonprivate_ms
+
+
+def timing_overhead(config: TrainConfig, data: Dataset) -> TimingReport:
+    """Wall-clock of the private path against the matched non-private path.
+
+    Each side runs its ``n_g`` iterations as up to five near-equal
+    ``train`` calls, alternating with the other side's and swapping which
+    side goes first, and sums their wall time.  A swing in machine speed
+    then lands on both sides alike."""
+    if config.epsilon == float("inf"):
+        raise ValueError("config must request a finite privacy level")
+    parts = max(1, min(5, config.n_g))
+    sides = [config, replace(config, epsilon=float("inf"))]
+    seconds = [0.0, 0.0]
+    for i in range(parts):
+        n_g = config.n_g // parts + (i < config.n_g % parts)
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            seconds[side] += train(replace(sides[side], n_g=n_g), data).wall_seconds
+    return TimingReport(private_ms=seconds[0] * 1e3, nonprivate_ms=seconds[1] * 1e3)
 
 
 def _announce(text: str) -> None:

@@ -14,14 +14,14 @@ import pytest
 from imdp.autodiff import Graph, ParamStore, forward, grad_check
 from imdp.cli import main
 from imdp.data import synth_mixture
-from imdp.evaluation import curve_stats, timing_overhead, utility_privacy_curve
+from imdp.evaluation import curve_stats, utility_privacy_curve
 from imdp.latent import LatentSpec, mi_lower_bound
 from imdp.nets import NetConfig, build_critic, build_generator
 from imdp.privacy import (AccountantState, accumulate, calibrate_sigma,
                           perturb_gradient, spent_epsilon, step_log_moment)
 from imdp.train import TrainConfig, generator_loss, train
 
-from conftest import TREND_SEEDS, trend_config
+from conftest import TREND_SEEDS, timing_overhead, trend_config
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -195,7 +195,7 @@ def test_criterion_06_utility_privacy_trend(trend_suite):
                                 real_test=trend_suite["test_data"],
                                 map_data=trend_suite["map_data"],
                                 per_class=2000, epochs=100, seed=5)
-    acc = rep.accuracies()
+    acc = {r.epsilon: r.accuracy for r in rep.rows}
     gap = acc[float("inf")] - acc[1.22]
     rho = rep.spearman()
     counts = {r.epsilon: r.n_train for r in rep.rows}

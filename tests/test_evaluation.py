@@ -7,16 +7,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imdp import evaluation
 from imdp.data import Dataset, synth_mixture
 from imdp.evaluation import (Classifier, CurveStats, SweepGrid, UtilityReport,
                              UtilityRow, code_sweep, curve_stats, dataset_sha256,
-                             map_categories_to_labels, spearman_rho, timing_overhead,
+                             map_categories_to_labels, spearman_rho,
                              train_binary_classifier, utility_privacy_curve)
 from imdp.latent import LatentSpec
 from imdp.nets import NetConfig, build_critic, build_generator, load_checkpoint, save_checkpoint
 from imdp.privacy import PrivacySpec
 from imdp.train import MetricsLog, MetricsRecord, TrainConfig
+
+import conftest
+from conftest import timing_overhead
 
 
 SPEC = LatentSpec(z_dim=4, categorical=(8,), continuous=((-1.0, 1.0),))
@@ -328,7 +330,7 @@ class TestTimingOverhead:
             calls.append((config.epsilon, config.n_g))
             return SimpleNamespace(wall_seconds=1.0 if config.epsilon == 1.22 else 0.25)
 
-        monkeypatch.setattr(evaluation, "train", fake_train)
+        monkeypatch.setattr(conftest, "train", fake_train)
         cfg = TrainConfig(n_g=n_g, batch=16, epsilon=1.22, latent=SPEC)
         report = timing_overhead(cfg, synth_mixture(k=8, radius=0.75, std=0.05, n=64, seed=9))
         want = []

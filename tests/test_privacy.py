@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdp.autodiff import ParamStore
-from imdp.privacy import (INF, LAMBDA_MAX, AccountantState, PrivacySpec, _log_moments,
-                          _order_tables, _orders, accumulate, calibrate_sigma, clip_weights,
+from imdp.privacy import (_ORDERS, INF, LAMBDA_MAX, AccountantState, PrivacySpec, _log_moments,
+                          _order_tables, accumulate, calibrate_sigma, clip_weights,
                           perturb_gradient, spent_epsilon, step_log_moment)
 
 # frozen from a 40-digit desk calculation of 2 q sqrt(n_d log(1/delta)) / eps
@@ -295,7 +295,7 @@ class TestOrderTables:
         _log_moments(0.25, 0.43, first, last)
         tables = _order_tables(first, last)
         assert tables is _order_tables(first, last)
-        for table in (*tables, _orders(LAMBDA_MAX)):
+        for table in (*tables, _ORDERS):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0

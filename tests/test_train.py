@@ -178,6 +178,34 @@ class TestCriticStep:
         for n in others:
             assert np.all(tr.store.grads[n] == 7.0)
 
+    def test_noise_is_pinned_on_every_critic_path_name(self, monkeypatch):
+        """With the update and clip stubbed, each step leaves every
+        critic-path slot at the plain gradient plus noise of std
+        sigma c_p / sqrt(m) per coordinate, and every other slot as it was."""
+        tr = Trainer(small_config(epsilon=1.22), mixture())
+        monkeypatch.setattr(tr.opt_critic, "update", lambda: None)
+        monkeypatch.setattr(privacy, "clip_weights", lambda *args: None)
+        m = tr.config.batch
+        x_real = next(tr.batches)
+        x_fake = generate(tr.gen, sample_codes(SPEC, m, np.random.default_rng(0)))
+        graph, loss = tr.critic_graph(m)
+        acts = forward(graph, tr.store, {"x_real": x_real, "x_fake": x_fake})
+        backward(graph, tr.store, acts, loss, wrt=tr.critic_path)
+        plain = {n: tr.store.grads[n].copy() for n in tr.critic_path}
+        others = [n for n in tr.store.names() if n not in plain]
+        for n in others:
+            tr.store.grads[n][...] = 7.0
+        noise = {n: [] for n in plain}
+        for _ in range(400):
+            tr.critic_step(x_real, x_fake)
+            for n in plain:
+                noise[n].append(tr.store.grads[n] - plain[n])
+        want = tr.spec.sigma * tr.spec.c_p / np.sqrt(m)
+        for n, draws in noise.items():
+            assert abs(np.std(draws) / want - 1.0) <= 0.15, n
+        for n in others:
+            assert np.all(tr.store.grads[n] == 7.0), n
+
     def test_same_seed_identical_weights(self):
         data = mixture()
         cfg = small_config(epsilon=1.22, n_d=3)
@@ -425,6 +453,15 @@ class TestTrain:
         eps = result.log.series("eps_spent")
         assert np.all(np.isfinite(eps))
         assert eps[0] <= eps[1] <= eps[2]
+
+    def test_eps_spent_is_the_accountants_closed_form(self):
+        cfg = small_config(n_g=4, epsilon=1.22)
+        data = mixture()
+        result = train(cfg, data)
+        start = privacy.AccountantState.create(cfg.batch / data.n, result.privacy.sigma)
+        for r in result.log.records:
+            steps = privacy.accumulate(start, r.iteration * cfg.n_d)
+            assert r.eps_spent == privacy.spent_epsilon(steps, cfg.delta), r.iteration
 
     def test_nonprivate_run_reports_inf(self):
         result = train(small_config(n_g=2), mixture())
