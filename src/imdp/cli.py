@@ -240,9 +240,9 @@ def _manifest_text(resolved: ResolvedConfig, entries: dict[str, str]) -> str:
 
 def cmd_train(args) -> int:
     resolved = parse_config(args.config, _flag_overrides(args))
-    cfg = resolved.train_config()
     data = load_dataset(resolved.get("train.dataset"))
-    trainer = Trainer(cfg, data)  # rejects the nets/data combination before any file exists
+    # rejects the nets/data combination before any file exists
+    trainer = Trainer(resolved.train_config(), data)
     every = resolved.checkpoint_every()
     run_dir = _make_run_dir(_out_root(args.out), resolved.config_hash())
     _write(os.path.join(run_dir, "config.resolved"), resolved.canonical_text())
@@ -256,25 +256,18 @@ def cmd_train(args) -> int:
     result = trainer.run(on_iteration=hook)
     _write(os.path.join(run_dir, "metrics.log"), result.log.to_text())
     save_checkpoint(os.path.join(run_dir, "checkpoint.ckpt"),
-                    result.gen, result.critic, result.privacy)
+                    result.gen, result.critic, trainer.spec)
     wall_lines = ["# per-iteration wall clock (ms); non-deterministic, kept out of metrics.log"]
     wall_lines += [f"{r.iteration} {r.wall_ms:.3f}" for r in result.log.records]
     _write(os.path.join(run_dir, "timing.txt"), "\n".join(wall_lines) + "\n")
-    eps_final = ("inf" if trainer.accountant is None
-                 else repr(spent_epsilon(trainer.accountant, cfg.delta)))
-    q, sigma = result.privacy.q, result.privacy.sigma
     _write(os.path.join(run_dir, "manifest.txt"), _manifest_text(resolved, {
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_seconds": f"{result.wall_seconds:.3f}",
         "dataset_source": data.source,
         "dataset_sha256": dataset_sha256(data),
-        "sigma": repr(sigma),
-        "calibration_scope": "generator_iteration",
-        # Lemma 3 of the moments accountant (Abadi et al. 2016), which the
-        # formula rests on, assumes sigma >= 1 and q < 1/(16 sigma)
-        "calibration_in_range": str(int(sigma >= 1.0 and 16.0 * q * sigma < 1.0)),
-        "accountant_eps_spent": eps_final,
+        **trainer.spec.manifest_entries(),
+        "accountant_eps_spent": repr(trainer.eps_spent()),
         "metrics": "metrics.log",
         "checkpoint": "checkpoint.ckpt",
         "timing": "timing.txt",

@@ -191,8 +191,7 @@ class UtilityReport:
     def to_csv(self) -> str:
         lines = ["epsilon,train_source,accuracy,n_train,n_test,mapping_tie"]
         for r in self.rows:
-            eps = "inf" if r.epsilon == float("inf") else repr(r.epsilon)
-            lines.append(f"{eps},{r.train_source},{r.accuracy!r},"
+            lines.append(f"{r.epsilon!r},{r.train_source},{r.accuracy!r},"
                          f"{r.n_train},{r.n_test},{int(r.mapping_tie)}")
         return "\n".join(lines) + "\n"
 

@@ -13,11 +13,9 @@ one ``ParamStore``, so each net reads its names out of it:
 for the critic.
 
 A checkpoint holds the named float64 parameter tensors, then a spec
-block: the latent and privacy specs as ``latent.*``/``privacy.*``
-key=value lines.  This module alone writes and reads that block, and it
-reads it with the config-file reader, ``artifacts.read_kv``, so a block
-may also hold blank lines, ``#`` comments and ``[section]`` prefixes,
-though the writer emits none.
+block of key=value lines: ``latent.*``, then ``PrivacySpec.block``.  It
+must be what the writer writes for the specs ``artifacts.read_kv`` reads
+out of it; any other bytes are a ``CheckpointError``.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ import numpy as np
 from .artifacts import read_kv, write_atomic
 from .autodiff import Graph, ParamStore, as_tensor, forward, graph_per_batch
 from .latent import Codes, LatentSpec
-from .privacy import INF, PrivacySpec
+from .privacy import PrivacySpec
 
 INIT_SCALE = 0.05  # weights drawn uniformly from [-INIT_SCALE, INIT_SCALE]
 
@@ -245,29 +243,23 @@ class CheckpointBundle:
 
 
 def _spec_block(latent: LatentSpec, privacy: PrivacySpec) -> bytes:
-    """The specs as ``latent.*``/``privacy.*`` key=value lines, one per field."""
+    """The specs as key=value lines: ``latent.*``, then ``privacy.block()``."""
     cats = ",".join(str(k) for k in latent.categorical)
     conts = ",".join(f"{lo}:{hi}" for lo, hi in latent.continuous)
-    eps = "inf" if privacy.epsilon == INF else repr(privacy.epsilon)
-    return (f"latent.z_dim={latent.z_dim}\nlatent.categorical={cats}\n"
-            f"latent.continuous={conts}\nprivacy.epsilon={eps}\n"
-            f"privacy.delta={privacy.delta!r}\nprivacy.c_p={privacy.c_p!r}\n"
-            f"privacy.q={privacy.q!r}\nprivacy.n_d={privacy.n_d}\n"
-            f"privacy.sigma={privacy.sigma!r}\n").encode("utf-8")
+    lines = [f"latent.z_dim={latent.z_dim}", f"latent.categorical={cats}",
+             f"latent.continuous={conts}", *privacy.block()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _parse_spec_block(blob: memoryview) -> tuple[LatentSpec, PrivacySpec]:
-    """Read the block with the config reader; every key ``_spec_block``
-    writes is required, and any other key is rejected."""
+    """Read the block with the config reader; it must be the bytes
+    ``_spec_block`` writes for the specs read."""
     fields = read_kv(str(blob, "utf-8"), "spec block")
-    latent = LatentSpec.parse(fields.pop("latent.z_dim"), fields.pop("latent.categorical"),
-                              fields.pop("latent.continuous"))
-    privacy = PrivacySpec(
-        epsilon=float(fields.pop("privacy.epsilon")), delta=float(fields.pop("privacy.delta")),
-        c_p=float(fields.pop("privacy.c_p")), q=float(fields.pop("privacy.q")),
-        n_d=int(fields.pop("privacy.n_d")), sigma=float(fields.pop("privacy.sigma")))
-    if fields:
-        raise CheckpointError(f"unknown spec keys {sorted(fields)}")
+    latent = LatentSpec.parse(fields["latent.z_dim"], fields["latent.categorical"],
+                              fields["latent.continuous"])
+    privacy = PrivacySpec.from_block(fields)
+    if _spec_block(latent, privacy) != blob:
+        raise CheckpointError("spec block is not as the writer writes it")
     return latent, privacy
 
 

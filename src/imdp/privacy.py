@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,7 +69,8 @@ def calibrate_sigma(epsilon: float, delta: float, q: float, n_d: int) -> float:
 
 @dataclass(frozen=True)
 class PrivacySpec:
-    """Bundle of the knobs governing the private training path."""
+    """The one description of the private mechanism: its knobs, their
+    validation, its checkpoint lines and its manifest lines."""
 
     epsilon: float
     delta: float
@@ -99,6 +100,22 @@ class PrivacySpec:
     @property
     def private(self) -> bool:
         return self.sigma > 0.0
+
+    def block(self) -> list[str]:
+        """Checkpoint lines ``privacy.<field>=<value>``, in field order."""
+        return [f"privacy.{f.name}={getattr(self, f.name)}" for f in fields(self)]
+
+    @classmethod
+    def from_block(cls, values: dict[str, str]) -> "PrivacySpec":
+        """The spec from the values of its ``block`` lines."""
+        return cls(**{f.name: (int if f.name == "n_d" else float)(values[f"privacy.{f.name}"])
+                      for f in fields(cls)})
+
+    def manifest_entries(self) -> dict[str, str]:
+        """A run manifest's privacy lines, with ``calibrate_sigma``'s Lemma 3 range."""
+        in_range = self.sigma >= 1.0 and 16.0 * self.q * self.sigma < 1.0
+        return {"sigma": repr(self.sigma), "calibration_scope": "generator_iteration",
+                "calibration_in_range": str(int(in_range))}
 
 
 def clip_weights(store: ParamStore, c_p: float, names=None) -> None:

@@ -76,11 +76,6 @@ class TrainConfig:
         privacy.check_level(self.epsilon, self.delta)
         privacy.check_clip(self.c_p)
 
-    def resolve_privacy(self, dataset_size: int) -> PrivacySpec:
-        return PrivacySpec.calibrated(
-            epsilon=self.epsilon, delta=self.delta, c_p=self.c_p,
-            q=self.batch / dataset_size, n_d=self.n_d)
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -185,7 +180,6 @@ class TrainResult:
     gen: GeneratorNet
     critic: CriticQNet
     log: MetricsLog
-    privacy: PrivacySpec
     wall_seconds: float
 
 
@@ -209,7 +203,9 @@ class Trainer:
         self.critic = build_critic(netcfg)
         self.store = self.gen.store = self.critic.store = ParamStore(
             {**self.gen.store.params, **self.critic.store.params})
-        self.spec = config.resolve_privacy(data.n)
+        self.spec = PrivacySpec.calibrated(
+            epsilon=config.epsilon, delta=config.delta, c_p=config.c_p,
+            q=config.batch / data.n, n_d=config.n_d)
         self.accountant = (AccountantState.create(self.spec.q, self.spec.sigma)
                            if self.spec.private else None)
         # the critic path is the only set that sees real data; the
@@ -273,7 +269,7 @@ class Trainer:
         self.last_wdist = -loss_value
         names = self.critic_path
         backward(graph, self.store, acts, loss, wrt=names)
-        if self.spec.sigma > 0.0:
+        if self.spec.private:
             # One N(0, (sigma c_p)^2) draw per coordinate of the sqrt(m)-scaled
             # mean gradient, rescaled back: std sigma c_p sqrt(m) on the batch
             # sum.  That assumes each record's critic-path gradient has norm
@@ -330,17 +326,20 @@ class Trainer:
                 raise RuntimeError(f"training failed at generator iteration {i}") from exc
             if self.accountant is not None:
                 self.accountant = accumulate(self.accountant, cfg.n_d)
-                eps = spent_epsilon(self.accountant, cfg.delta)
-            else:
-                eps = privacy.INF
             log.append(MetricsRecord(
                 iteration=i, critic_loss=self.last_critic_loss, gen_loss=gen_loss,
-                wdist=self.last_wdist, l_i=l_i, eps_spent=eps,
+                wdist=self.last_wdist, l_i=l_i, eps_spent=self.eps_spent(),
                 wall_ms=(time.perf_counter() - t0) * 1e3))
             if on_iteration is not None:
                 on_iteration(i, self)
-        return TrainResult(gen=self.gen, critic=self.critic, log=log, privacy=self.spec,
+        return TrainResult(gen=self.gen, critic=self.critic, log=log,
                            wall_seconds=time.perf_counter() - t_start)
+
+    def eps_spent(self) -> float:
+        """The accountant's spend so far at the spec's delta; inf if not private."""
+        if self.accountant is None:
+            return privacy.INF
+        return spent_epsilon(self.accountant, self.spec.delta)
 
 
 @functools.cache

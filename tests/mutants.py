@@ -68,7 +68,7 @@ MUTANTS = (
     ("generator step does not clip the critic path", TRAIN,
      "privacy.clip_weights(self.store, self.spec.c_p, self.critic_path)", "pass"),
     ("q = m / (2N)", TRAIN,
-     "q=self.batch / dataset_size", "q=self.batch / (2 * dataset_size)"),
+     "q=config.batch / data.n", "q=config.batch / (2 * data.n)"),
     ("calibration formula drops sqrt(n_d)", PRIVACY,
      "math.sqrt(n_d * math.log(1.0 / delta))", "math.sqrt(math.log(1.0 / delta))"),
     ("spent epsilon divides by lambda + 1", PRIVACY,

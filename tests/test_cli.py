@@ -43,8 +43,8 @@ class TestParseConfig:
 
     def test_infinite_epsilon_resolves_to_zero_sigma(self):
         resolved = parse_config(None, {"privacy.epsilon": "inf"})
-        spec = resolved.train_config().resolve_privacy(60000)
-        assert spec.sigma == 0.0
+        cfg = resolved.train_config()
+        assert calibrate_sigma(cfg.epsilon, cfg.delta, cfg.batch / 60000, cfg.n_d) == 0.0
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,7 +90,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("text", INF_SPELLINGS)
     def test_every_float_spelling_of_inf_gives_zero_sigma(self, text):
         cfg = parse_config(None, {"privacy.epsilon": text}).train_config()
-        assert cfg.epsilon == INF and cfg.resolve_privacy(60000).sigma == 0.0
+        assert cfg.epsilon == INF
+        assert calibrate_sigma(cfg.epsilon, cfg.delta, cfg.batch / 60000, cfg.n_d) == 0.0
 
     @pytest.mark.parametrize("key,value", [("privacy.epsilon", "nan"), ("privacy.clip", "nan"),
                                            ("privacy.clip", "0"), ("privacy.delta", "0")])

@@ -263,6 +263,12 @@ def with_spec_block(blob: bytes, edit) -> bytes:
     return blob[:start - 4] + struct.pack("<I", len(block)) + block
 
 
+def without(key: bytes):
+    """An edit that drops the spec block's ``key=`` line."""
+    return lambda b: b"".join(line for line in b.splitlines(keepends=True)
+                              if not line.startswith(key + b"="))
+
+
 class TestCheckpointTypedErrors:
     def saved(self, tmp_path, cfg=None):
         cfg = cfg or small_cfg(18)
@@ -280,8 +286,19 @@ class TestCheckpointTypedErrors:
         lambda b: b + b"privacy.whatever=3\n",
         lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=-inf:inf"),
         lambda b: b.replace(b"latent.continuous=-1.0:1.0", b"latent.continuous=0.0:inf"),
+        lambda b: b"# note\n" + b,
+        lambda b: b"\n" + b,
+        lambda b: b.replace(b"privacy.delta=1e-05\n", b"") + b"[privacy]\ndelta=1e-05\n",
+        lambda b: b + b"latent.z_dim=4\n",
+        lambda b: b.replace(b"privacy.delta=1e-05", b"privacy.delta=1.0e-5"),
+        lambda b: b.replace(b"privacy.n_d=5", b"privacy.n_d = 5"),
+        *(without(key) for key in (b"latent.categorical", b"latent.continuous",
+                                   b"privacy.epsilon", b"privacy.delta", b"privacy.c_p",
+                                   b"privacy.q", b"privacy.n_d")),
     ], ids=["no-sigma", "no-z_dim", "continuous-5", "non-utf8", "no-equals", "unknown-key",
-            "continuous-unbounded", "continuous-infinite-width"])
+            "continuous-unbounded", "continuous-infinite-width", "comment", "blank-line",
+            "section", "repeated-key", "non-canonical-float", "spaces", "no-categorical",
+            "no-continuous", "no-epsilon", "no-delta", "no-c_p", "no-q", "no-n_d"])
     def test_malformed_spec_block_is_a_checkpoint_error(self, tmp_path, edit):
         path = self.saved(tmp_path)
         path.write_bytes(with_spec_block(path.read_bytes(), edit))

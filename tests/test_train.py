@@ -458,7 +458,9 @@ class TestTrain:
         cfg = small_config(n_g=4, epsilon=1.22)
         data = mixture()
         result = train(cfg, data)
-        start = privacy.AccountantState.create(cfg.batch / data.n, result.privacy.sigma)
+        q = cfg.batch / data.n
+        sigma = privacy.calibrate_sigma(cfg.epsilon, cfg.delta, q, cfg.n_d)
+        start = privacy.AccountantState.create(q, sigma)
         for r in result.log.records:
             steps = privacy.accumulate(start, r.iteration * cfg.n_d)
             assert r.eps_spent == privacy.spent_epsilon(steps, cfg.delta), r.iteration
