@@ -84,15 +84,15 @@ def code_sweep(gen: GeneratorNet, seed: int, cont_steps: int = 10) -> SweepGrid:
 
 
 class Classifier:
-    """Small feed-forward binary classifier trained by plain SGD."""
+    """Small feed-forward classifier, one output per label, trained by plain SGD."""
 
     HIDDEN = 64
     LR = 1e-3
     BATCH = 64
 
-    def __init__(self, dim: int, labels: tuple[int, int], seed: int = 0):
+    def __init__(self, dim: int, labels: tuple[int, ...], seed: int = 0):
         self.labels = labels
-        self.layers = {"c.h": (dim, self.HIDDEN), "c.out": (self.HIDDEN, 2)}
+        self.layers = {"c.h": (dim, self.HIDDEN), "c.out": (self.HIDDEN, len(labels))}
         self.store = _init_layers(self.layers, np.random.default_rng(seed))
 
     @graph_per_batch
@@ -101,17 +101,14 @@ class Classifier:
         x = g.input("x", (batch, self.layers["c.h"][0]))
         h = g.relu(_affine(g, x, "c.h", *self.layers["c.h"]))
         logits = _affine(g, h, "c.out", *self.layers["c.out"])
-        t = g.input("t", (batch, 2))
+        t = g.input("t", g.shape(logits))
         return g, logits, g.softmax_xent(logits, t)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        g, logits, _ = self._graph(x.shape[0])
-        return forward(g, self.store, {"x": x, "t": np.zeros((x.shape[0], 2))})[logits]
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted labels, mapped back to the original label pair."""
-        idx = self.logits(x).argmax(axis=1)
-        return np.where(idx == 0, self.labels[0], self.labels[1])
+        """Predicted labels: the label of each row's largest logit."""
+        g, logits, _ = self._graph(x.shape[0])
+        acts = forward(g, self.store, {"x": x, "t": np.zeros(g.shape(logits))})
+        return np.asarray(self.labels)[acts[logits].argmax(axis=1)]
 
     def accuracy(self, ds: Dataset) -> float:
         if ds.y is None:
@@ -122,17 +119,18 @@ class Classifier:
 def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Classifier:
     """Cross-entropy training over shuffled epochs; deterministic by seed.
 
-    Each step takes ``Classifier.BATCH`` rows, or all ``n`` rows when
-    there are fewer.  Rows past the last full batch of an epoch's shuffle
-    are skipped that epoch."""
+    Fits any label count of at least two, the sorted values of ``ds.y``;
+    ROADMAP item 7 can rename it with perfbench's tracer table.  Each step
+    takes ``Classifier.BATCH`` rows, or all ``n`` rows when there are fewer;
+    rows past an epoch's last full batch are skipped that epoch."""
     if ds.y is None:
         raise ValueError("dataset has no labels")
-    labels = tuple(sorted(set(int(v) for v in ds.y)))
-    if len(labels) != 2:
-        raise ValueError(f"need exactly two labels, got {labels}")
-    clf = Classifier(dim=ds.dim, labels=labels, seed=seed)
-    onehot = np.zeros((ds.n, 2))
-    onehot[np.arange(ds.n), (ds.y == labels[1]).astype(int)] = 1.0
+    labels, index = np.unique(ds.y, return_inverse=True)
+    if len(labels) < 2:
+        raise ValueError(f"need at least two labels, got {labels.tolist()}")
+    clf = Classifier(dim=ds.dim, labels=tuple(labels.tolist()), seed=seed)
+    onehot = np.eye(len(labels))[index]
+    (run,) = clf.store.runs()
     rng = np.random.default_rng(seed)
     batch = min(clf.BATCH, ds.n)
     g, _, loss = clf._graph(batch)
@@ -141,9 +139,8 @@ def train_binary_classifier(ds: Dataset, epochs: int = 100, seed: int = 0) -> Cl
         for lo in range(0, ds.n - batch + 1, batch):
             rows = order[lo:lo + batch]
             acts = forward(g, clf.store, {"x": ds.x[rows], "t": onehot[rows]})
-            grads = backward(g, clf.store, acts, loss)
-            for name in clf.store.params:
-                clf.store.params[name] -= clf.LR * grads[name]
+            backward(g, clf.store, acts, loss)
+            run.params[...] -= clf.LR * run.grads
     return clf
 
 
@@ -278,17 +275,18 @@ def utility_privacy_curve(models: Mapping[float, tuple[GeneratorNet, CriticQNet]
                           pair: tuple[int, int], real_test: Dataset,
                           map_data: Dataset, per_class: int = 2000,
                           epochs: int = 100, seed: int = 0) -> UtilityReport:
-    """Per privacy level: identify the label categories, generate a
-    training split, fit a binary classifier, and score it on real rows.
+    """Per privacy level: map categories to labels, generate a training
+    split, fit a classifier on the pair's two labels, score it on real rows.
 
     ``models[eps]`` is read once, when its level runs, so a mapping that
-    loads on lookup holds one level's model at a time.  The test split
-    must hold rows of the pair and the map split rows of both its labels;
-    both are checked before any level runs.  Every
-    level reuses the same seed so identical models earn identical
-    accuracies; rows come back sorted by descending privacy level.
-    """
+    loads on lookup holds one level's model at a time.  Checked before any
+    level runs: two different labels in the pair, labels on both splits,
+    rows of the pair in the test split and of both its labels in the map
+    split.  Every level reuses the same seed, so identical models earn
+    identical accuracies; rows come back by descending privacy level."""
     a, b = int(pair[0]), int(pair[1])
+    if a == b:
+        raise ValueError(f"pair needs two different labels, got {a},{b}")
     if real_test.y is None:
         raise ValueError("real test data needs labels")
     if map_data.y is None:
@@ -319,10 +317,12 @@ class CurveStats:
 def curve_stats(log: MetricsLog, field: str, window: int | None = None) -> CurveStats:
     """Means and variances of a logged field, whole and split into halves.
 
-    ``window`` restricts the view to the trailing records first.
+    ``window`` (at least 1) restricts the view to the trailing records first.
     """
     if len(log) == 0:
         raise ValueError("empty metrics log")
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     series = log.series(field)
     if window is not None:
         series = series[-window:]

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from imdp.autodiff import backward, forward
 from imdp.data import Dataset, synth_mixture
 from imdp.evaluation import (Classifier, CurveStats, SweepGrid, UtilityReport,
                              UtilityRow, code_sweep, curve_stats, dataset_sha256,
@@ -28,6 +29,13 @@ def fresh_models(seed=0, data_dim=2):
     cfg = NetConfig(latent=SPEC, data_dim=data_dim, gen_hidden=(8, 8),
                     trunk_hidden=(16, 16), seed=seed)
     return build_generator(cfg), build_critic(cfg)
+
+
+class Unread(dict):
+    """Models that fail on lookup: a check that passes it ran before any level."""
+
+    def __getitem__(self, eps):
+        raise AssertionError("a level ran")
 
 
 def log_from(values):
@@ -76,6 +84,27 @@ class TestCodeSweep:
         assert len(lines) == 1 + 3 * 8
 
 
+def reference_two_label_classifier(ds, epochs, seed):
+    """Reference two-label trainer: a two-column one-hot and one SGD update
+    per parameter name, the binary case ``train_binary_classifier`` keeps."""
+    labels = tuple(sorted(set(int(v) for v in ds.y)))
+    clf = Classifier(dim=ds.dim, labels=labels, seed=seed)
+    onehot = np.zeros((ds.n, 2))
+    onehot[np.arange(ds.n), (ds.y == labels[1]).astype(int)] = 1.0
+    rng = np.random.default_rng(seed)
+    batch = min(clf.BATCH, ds.n)
+    g, _, loss = clf._graph(batch)
+    for _ in range(epochs):
+        order = rng.permutation(ds.n)
+        for lo in range(0, ds.n - batch + 1, batch):
+            rows = order[lo:lo + batch]
+            acts = forward(g, clf.store, {"x": ds.x[rows], "t": onehot[rows]})
+            grads = backward(g, clf.store, acts, loss)
+            for name in clf.store.params:
+                clf.store.params[name] -= clf.LR * grads[name]
+    return clf
+
+
 class TestBinaryClassifier:
     def blobs(self, n=400, gap=1.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -115,10 +144,34 @@ class TestBinaryClassifier:
         for name in a.store.params:
             assert a.store.params[name].tobytes() == b.store.params[name].tobytes()
 
-    def test_rejects_non_binary_labels(self):
-        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=64, seed=0)
-        with pytest.raises(ValueError):
-            train_binary_classifier(ds, epochs=1, seed=0)
+    def test_rejects_a_single_label(self):
+        ds = self.blobs(n=64)
+        with pytest.raises(ValueError, match="at least two labels"):
+            train_binary_classifier(Dataset(x=ds.x, y=np.full(ds.n, 3)), epochs=1, seed=0)
+
+    def test_four_way_mixture_is_separated(self):
+        ds = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=0)
+        clf = train_binary_classifier(ds, epochs=200, seed=1)
+        assert clf.labels == (0, 1, 2, 3)
+        assert clf.accuracy(synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=1)) >= 0.95
+
+    def test_two_labels_match_the_per_name_reference_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        y = rng.choice([3, 8], size=600)
+        x = np.clip(rng.normal(0.0, 0.4, size=(600, 5)) + np.where(y == 3, -0.2, 0.2)[:, None],
+                    -1, 1)
+        ds = Dataset(x=x, y=y)
+        ref = reference_two_label_classifier(ds, epochs=7, seed=5)
+        clf = train_binary_classifier(ds, epochs=7, seed=5)
+        assert clf.labels == ref.labels == (3, 8)
+        for name, arr in ref.store.params.items():
+            assert clf.store.params[name].tobytes() == arr.tobytes()
+        g, logits, _ = ref._graph(ds.n)
+        out = forward(g, ref.store, {"x": x, "t": np.zeros((ds.n, 2))})[logits].argmax(axis=1)
+        expected = np.where(out == 0, ref.labels[0], ref.labels[1])
+        preds = clf.predict(x)
+        assert preds.dtype == expected.dtype
+        np.testing.assert_array_equal(preds, expected)
 
     def test_predictions_use_original_labels(self):
         ds = self.blobs(seed=7)
@@ -195,14 +248,15 @@ class TestUtilityCurve:
         real = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=6)
         keep = real.y != 2
         map_data = Dataset(real.x[keep], real.y[keep])
-
-        class Unread(dict):
-            def __getitem__(self, eps):
-                raise AssertionError("a level ran")
-
         with pytest.raises(ValueError, match="^map split holds no rows labeled 2$"):
             utility_privacy_curve(Unread({1.0: None}), pair=(1, 2), real_test=real,
                                   map_data=map_data, per_class=10, epochs=1, seed=0)
+
+    def test_equal_pair_rejected_before_any_level(self):
+        real = synth_mixture(k=4, radius=0.75, std=0.05, n=400, seed=6)
+        with pytest.raises(ValueError, match="^pair needs two different labels, got 3,3$"):
+            utility_privacy_curve(Unread({1.0: None}), pair=(3, 3), real_test=real,
+                                  map_data=real, per_class=10, epochs=1, seed=0)
 
     def test_peak_holds_one_level_at_a_time(self, tmp_path):
         # two levels of the default 784-dim nets, loaded as evaluate loads them
@@ -295,6 +349,11 @@ class TestCurveStats:
         stats = curve_stats(log_from([*([5.0] * 90), *([1.0] * 10)]), "l_i",
                             window=10)
         assert stats.mean == 1.0
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            curve_stats(log_from([*([5.0] * 90), *([1.0] * 10)]), "l_i", window=window)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(KeyError):
